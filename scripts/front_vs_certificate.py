@@ -36,7 +36,7 @@ def main() -> None:
 
     couplings = Couplings(g=args.g, J=args.J)
     d_values = range(args.dmin, args.dmax + 1, args.dstep)
-    source = DpCountSource(n_max=max(64, 6 * args.dmax + 20))
+    source = DpCountSource()
     certified = analytic_velocity(couplings)
 
     print(f"couplings g = {args.g}, J = {args.J}; certified cone velocity = {certified:.6f}")

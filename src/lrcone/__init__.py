@@ -2,7 +2,7 @@
 
 Subpackages:
     lattice    decorated bipartite graph of links and plaquettes
-    pathcount  exact walk counts (dynamic programming + closed form + bounds)
+    pathcount  exact walk counts (closed-form columns + dynamic programming + bounds)
     lrbound    commutator-growth bound series with certified truncation
     velocity   cone-velocity extraction: threshold arrivals and envelope fits
     cosmo      dimension-dependent velocity and shrinking-dimension horizon

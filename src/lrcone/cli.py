@@ -31,7 +31,6 @@ from .lrbound import (
     BoundEvaluator,
     ConvergenceError,
     Couplings,
-    DpCountSource,
     write_bound_grid_csv,
 )
 from .pathcount import (
@@ -280,16 +279,12 @@ def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
     t_list = _parse_float_list(args.t, name="--t")
     d_list = _parse_int_list(args.d, name="--d")
-    if any(t < 0 for t in t_list):
-        raise ValueError(f"--t entries must be >= 0, got {t_list}")
+    if not all(t >= 0 and math.isfinite(t) for t in t_list):
+        raise ValueError(f"--t entries must be finite and >= 0, got {t_list}")
     if any(d < 0 for d in d_list):
         raise ValueError(f"--d entries must be >= 0, got {d_list}")
 
-    evaluator = BoundEvaluator(
-        cfg.couplings(),
-        source=DpCountSource(n_max=max(64, 2 * max(d_list) + 16)),
-        rel_tol=cfg.rel_tol,
-    )
+    evaluator = BoundEvaluator(cfg.couplings(), rel_tol=cfg.rel_tol)
     results = [evaluator.evaluate(t, d) for d in d_list for t in t_list]
     path = _output_path(cfg, "bound")
     if cfg.output_format == "csv":
@@ -306,11 +301,6 @@ def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _initial_table_size(d_max: int) -> int:
-    # Sized so the headline arrival window never regrows the count table.
-    return max(64, 6 * d_max + 20)
-
-
 def cmd_velocity(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.dmin < 1 or args.dmax < args.dmin or args.dstep < 1:
         raise ValueError(
@@ -321,11 +311,7 @@ def cmd_velocity(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError("velocity emits a JSON report; use --format json")
     d_values = list(range(args.dmin, args.dmax + 1, args.dstep))
     couplings = cfg.couplings()
-    evaluator = BoundEvaluator(
-        couplings,
-        source=DpCountSource(n_max=_initial_table_size(args.dmax)),
-        rel_tol=cfg.rel_tol,
-    )
+    evaluator = BoundEvaluator(couplings, rel_tol=cfg.rel_tol)
     report = extract_velocity(
         couplings,
         d_values=d_values,

@@ -1,21 +1,25 @@
 """Exact walk counts on the decorated graph.
 
 A walk of length n is any sequence of n unit steps on G'; revisits are
-allowed.  Counts are computed by iterating the neighbor-sum recurrence
+allowed.  Three count sources exist:
 
-    counts(n + 1, v) = sum over u adjacent to v of counts(n, u)
+* `walk_count_column`, the exact per-distance closed form on the Lieb lattice
+  for same-orientation link pairs separated by d grid steps perpendicular to
+  the link axis (the canonical pair family, whose G' distance is exactly
+  2 d).  It is canonical: the bound series in `lrbound` takes its counts from
+  it, one column per distance.
+* the neighbor-sum dynamic program
 
-with exact Python integers (numpy object arrays keep the arithmetic exact
-while the loops run at C speed).  Two independent count sources exist:
+      counts(n + 1, v) = sum over u adjacent to v of counts(n, u)
 
-* the dynamic program above (canonical — every downstream consumer uses it);
-* a closed-form binomial expression for same-orientation link pairs separated
-  by d grid steps perpendicular to the link axis (the canonical pair family,
-  whose G' distance is exactly 2 d).
-
-The closed form is evaluated literally and compared entry-by-entry against
-the dynamic program; every discrepancy is collected into a machine-readable
-fidelity report, and the dynamic program remains the source of truth.
+  with exact Python integers (numpy object arrays keep the arithmetic exact
+  while the loops run at C speed), on a built lattice (`count_walks_dp`) or
+  on the implicit infinite plane (`axis_walk_counts`).  It is the
+  independent oracle the closed form is tested against, and the reference
+  `lrcone count` audits the paper's formula against.
+* the paper's literal binomial expression (`count_walks_closed_form`),
+  compared entry-by-entry against the dynamic program; every discrepancy is
+  collected into a machine-readable fidelity report.
 """
 
 from __future__ import annotations
@@ -291,6 +295,41 @@ def _comb_or_zero(m: int, doubled_lower: int) -> int:
     return math.comb(m, k)
 
 
+def walk_count_column(d: int, n_max: int) -> tuple[int, ...]:
+    """Exact canonical-pair counts N(n, d) for n = 0 .. n_max.
+
+    On the Lieb lattice G' a link -> plaquette -> link step acts on the
+    plaquettes as T = 4 I + A_square, and square-lattice walks factor in
+    rotated coordinates, so
+
+        N(2m, d) = sum over j < m of C(m-1, j) 4^(m-1-j) r_j,
+        r_j      = 2 W_j(d) + W_j(d-1) + W_j(d+1),   W_j(y) = C(j, (j+|y|)/2)^2,
+
+    with W_j(y) = 0 on parity or range failure; odd n gives 0 and
+    N(0, d) = [d = 0].  The binomial transform is evaluated by the row
+    recurrence row <- 4 row[:-1] + row[1:], whose leading entry after m - 1
+    steps is N(2m, d): O(n_max^2 / 8) exact additions and no 2-D grid.
+    Equal to `axis_walk_counts` wherever both are defined.
+    """
+    if n_max < 0 or d < 0:
+        raise ValueError(f"n_max and d must be >= 0, got n_max = {n_max}, d = {d}")
+    column = [0] * (n_max + 1)
+    column[0] = int(d == 0)
+    row = np.array(
+        [
+            2 * _comb_or_zero(j, j + d) ** 2
+            + _comb_or_zero(j, j + abs(d - 1)) ** 2
+            + _comb_or_zero(j, j + d + 1) ** 2
+            for j in range(n_max // 2)
+        ],
+        dtype=object,
+    )
+    for n in range(2, n_max + 1, 2):
+        column[n] = int(row[0])
+        row = 4 * row[:-1] + row[1:]
+    return tuple(column)
+
+
 def count_walks_closed_form(n: int, d: int) -> int:
     """Literal binomial-sum expression for the canonical pair count.
 
@@ -368,7 +407,7 @@ def compare_closed_form(
 
 
 def fidelity_report(comparisons: Sequence[CountComparison], context: dict | None = None) -> dict:
-    """Machine-readable mismatch report; the dynamic program stays canonical."""
+    """Machine-readable mismatch report of the literal formula against the dynamic program."""
     mismatches = [c for c in comparisons if not c.match]
     return {
         "schema_version": 1,

@@ -134,6 +134,9 @@ def test_bound_json_format(tmp_path):
 def test_bound_usage_errors(tmp_path):
     assert run("bound", "--t", "-1.0", "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
     assert run("bound", "--d", "2.5", "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
+    for t in ("nan", "inf"):
+        assert run("bound", "--t", t, "--d", "2", "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ no logs or floats, versus the implementation's log-space fsum.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from lrcone.lrbound import (
     log_series_term,
     tail_bound,
 )
-from lrcone.pathcount import axis_walk_counts
+from lrcone.pathcount import axis_walk_counts, walk_count_column
 
 from reference import exact_bound_series
 
@@ -142,6 +143,26 @@ def test_evaluate_bound_matches_exact_reference(shared_source, t_num, d):
     assert result.rigorous_upper >= result.value
 
 
+def test_large_time_series_is_fast_and_matches_reference():
+    # t = 200 truncates near n = 560: a long series whose counts must stay cheap.
+    start = time.perf_counter()
+    source = DpCountSource()
+    result = evaluate_bound(200.0, 2, HALF, source=source)
+    assert time.perf_counter() - start < 5.0
+    half = Fraction(1, 2)
+    exact = exact_bound_series(Fraction(200), 2, half, half, source.count, result.n_truncate)
+    assert abs(Fraction(result.value) - exact) <= Fraction(1, 10**10) * exact
+    assert result.tail <= 1e-10 * result.value
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_evaluate_bound_rejects_bad_time(t):
+    source = DpCountSource(n_max=8)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        evaluate_bound(t, 2, HALF, source=source)
+    assert source.n_max == 8
+
+
 def test_zero_time_limits(shared_source):
     at_origin = evaluate_bound(0.0, 0, HALF, source=shared_source)
     assert at_origin.value == HALF.prefactor
@@ -203,6 +224,17 @@ def test_dp_source_matches_plain_table():
     # Unreachable separation inside the stored range is zero without growth.
     assert src.count(10, 12) == 0
     assert src.n_max == 24
+
+
+def test_dp_source_extends_columns_lazily():
+    src = DpCountSource(n_max=16)
+    assert src.count(10, 3) == walk_count_column(3, 16)[10]
+    src.ensure(300, 3)
+    assert src.n_max >= 300
+    long_built = DpCountSource(n_max=src.n_max)
+    extended = [src.count(n, 3) for n in range(src.n_max + 1)]
+    assert extended == [long_built.count(n, 3) for n in range(src.n_max + 1)]
+    assert tuple(extended) == walk_count_column(3, src.n_max)
 
 
 def test_dp_source_hard_limit():

@@ -1,8 +1,9 @@
-"""Walk counting: dynamic program, fast grid path, closed form, crude bound.
+"""Walk counting: dynamic program, fast grid path, closed forms, crude bound.
 
 The independent oracle here is explicit walk enumeration (recursion over
 neighbor lists), which shares no code with the numpy gather-and-sum dynamic
-program.
+program; the dynamic program in turn is the oracle for the per-distance
+closed-form columns the bound series uses.
 """
 
 import math
@@ -25,6 +26,7 @@ from lrcone.pathcount import (
     fidelity_report,
     gross_upper_bound,
     perpendicular_target,
+    walk_count_column,
 )
 
 
@@ -228,6 +230,70 @@ def test_axis_walk_counts_invariants(n_max, d):
             assert c == 0
         if n == 2 * d:
             assert c == 1
+
+
+# ---------------------------------------------------------------------------
+# Per-distance closed-form columns: equal to the dynamic program.
+# ---------------------------------------------------------------------------
+
+
+def lieb_sum(n, d):
+    """N(n, d) as the plain binomial sum over j, with no row recurrence."""
+    if n % 2:
+        return 0
+    m = n // 2
+    if m == 0:
+        return int(d == 0)
+
+    def w(j, y):
+        y = abs(y)
+        return math.comb(j, (j + y) // 2) ** 2 if y <= j and (j + y) % 2 == 0 else 0
+
+    return sum(
+        math.comb(m - 1, j) * 4 ** (m - 1 - j) * (2 * w(j, d) + w(j, d - 1) + w(j, d + 1))
+        for j in range(m)
+    )
+
+
+def test_walk_count_column_matches_axis_walk_counts():
+    aw = axis_walk_counts(120, 60)
+    mismatches = [
+        (n, d)
+        for d in range(61)
+        for n, count in enumerate(walk_count_column(d, 120))
+        if count != aw.count(n, d)
+    ]
+    assert mismatches == []
+
+
+def test_walk_count_column_matches_lattice_dp(lattice_2d, table_2d):
+    for d in range(6):
+        q = perpendicular_target(lattice_2d, d)
+        assert walk_count_column(d, 10) == tuple(table_2d.count(n, q) for n in range(11))
+
+
+@given(n=st.integers(0, 400), d=st.integers(0, 200), extra=st.integers(0, 50))
+@settings(max_examples=40, deadline=None)
+def test_walk_count_column_properties(n, d, extra):
+    column = walk_count_column(d, n)
+    assert len(column) == n + 1
+    assert walk_count_column(d, n + extra)[: n + 1] == column
+    assert column[n] == lieb_sum(n, d)
+    if n % 2 or n < 2 * d:
+        assert column[n] == 0
+    elif n == 2 * d:
+        assert column[n] == 1
+    else:
+        assert 0 < column[n] <= 8 ** (n // 2)
+
+
+def test_walk_count_column_validation():
+    assert walk_count_column(0, 0) == (1,)
+    assert walk_count_column(3, 1) == (0, 0)
+    with pytest.raises(ValueError):
+        walk_count_column(-1, 4)
+    with pytest.raises(ValueError):
+        walk_count_column(0, -1)
 
 
 # ---------------------------------------------------------------------------
