@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the cone velocity over lattice dimension and trace a shrinking horizon.
 
-Two artifacts:
+Two artifacts, written by the CLI's table writer (a "# config:" line, then
+the CSV table):
   * a dimension scan CSV (velocity under both branching conventions), showing
     the linear-in-D growth and the sqrt(D/2) gap between conventions;
   * a light-cone boundary CSV for a dimension that shrinks linearly in time,
@@ -16,11 +17,13 @@ from __future__ import annotations
 import argparse
 import pathlib
 
+from lrcone.cli import write_table
 from lrcone.cosmo import (
     BranchingConvention,
     HorizonModel,
     dimension_scan,
-    write_lightcone_csv,
+    lightcone_rows,
+    model_to_json_dict,
 )
 from lrcone.lrbound import Couplings
 
@@ -44,10 +47,13 @@ def main() -> None:
     grid = [2.0 + k * (args.dim_max - 2.0) / 30 for k in range(31)]
     rows = dimension_scan(grid, couplings)
     scan_path = out_dir / "dimension_scan.csv"
-    with open(scan_path, "w") as fh:
-        fh.write("D,v_axis_pairs,v_degrees\n")
-        for D, v_axis, v_deg in rows:
-            fh.write(f"{D!r},{v_axis!r},{v_deg!r}\n")
+    write_table(
+        str(scan_path),
+        "csv",
+        ["D", "v_axis_pairs", "v_degrees"],
+        rows,
+        {"couplings": {"g": args.g, "J": args.J}},
+    )
     print(f"dimension scan ({len(rows)} rows) -> {scan_path}")
     for D, v_axis, v_deg in rows[:: len(rows) // 5]:
         print(f"  D = {D:7.2f}   v = {v_axis:12.4f}   ratio to degrees = {v_axis / v_deg:.4f}")
@@ -60,7 +66,14 @@ def main() -> None:
         mode="toy",
     )
     cone_path = out_dir / "lightcone.csv"
-    samples = write_lightcone_csv(str(cone_path), model, 0.0, args.tf, args.steps)
+    samples = lightcone_rows(model, 0.0, args.tf, args.steps)
+    write_table(
+        str(cone_path),
+        "csv",
+        ["t", "r_axis_pairs", "r_degrees"],
+        samples,
+        {"model": model_to_json_dict(model)},
+    )
     print(f"\nhorizon profile D(t) = {args.Din} (1 - {args.alpha} t) -> {cone_path}")
     for t, r_axis, _ in samples[:: max(1, len(samples) // 5)]:
         linear = model.velocity(0.0) * t

@@ -5,8 +5,9 @@ Subcommands: count, bound, velocity, scan-dim, horizon.  Exit codes:
 3 numerical failure (non-convergent series or unreachable threshold).
 
 Every output artifact embeds the resolved run configuration
-(schema_version 1) and is byte-identical across reruns; wall-clock metadata
-goes to a ``<output>.meta.json`` sidecar, never into the body.
+(schema_version 2) and is byte-identical across reruns; wall-clock metadata
+goes to a ``<output>.meta.json`` sidecar, never into the body.  Every table
+goes through `write_table`, every JSON document through `_write_json_doc`.
 """
 
 from __future__ import annotations
@@ -17,29 +18,20 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 from .cosmo import (
     BranchingConvention,
     HorizonModel,
     dimension_scan,
-    lightcone_boundary,
+    lightcone_rows,
     model_to_json_dict,
-    write_lightcone_csv,
 )
-from .lrbound import (
-    BoundEvaluator,
-    ConvergenceError,
-    Couplings,
-    write_bound_grid_csv,
-)
-from .pathcount import (
-    axis_walk_counts,
-    compare_closed_form,
-    fidelity_report,
-    write_count_csv,
-    write_fidelity_report,
-)
+
+# Not used here; perfbench's traced run (--trace 1) patches this attribute.
+from .cosmo import lightcone_boundary  # noqa: F401
+from .lrbound import BoundEvaluator, ConvergenceError, Couplings
+from .pathcount import axis_walk_counts, compare_closed_form, fidelity_report
 from .velocity import (
     ThresholdUnreachableError,
     extract_velocity,
@@ -73,12 +65,8 @@ class RunConfig:
     origin_norm: float = 1.0
     probe_norm: float = 1.0
     step_factor: float = math.sqrt(2.0)
-    dimension: int = 2
-    extent: int = 12
-    boundary: str = "periodic"
     rel_tol: float = 1e-10
     epsilon: float = 1e-8
-    quad_rel_tol: float = 1e-11
     output_path: str | None = None
     output_format: str = "csv"
 
@@ -100,15 +88,9 @@ class RunConfig:
                 "probe_norm": self.probe_norm,
                 "step_factor": self.step_factor,
             },
-            "lattice": {
-                "dimension": self.dimension,
-                "extent": self.extent,
-                "boundary": self.boundary,
-            },
             "tolerances": {
                 "rel_tol": self.rel_tol,
                 "epsilon": self.epsilon,
-                "quad_rel_tol": self.quad_rel_tol,
             },
             "output": {
                 "path": self.output_path,
@@ -119,8 +101,7 @@ class RunConfig:
 
 _CONFIG_SECTIONS = {
     "couplings": ("g", "J", "origin_norm", "probe_norm", "step_factor"),
-    "lattice": ("dimension", "extent", "boundary"),
-    "tolerances": ("rel_tol", "epsilon", "quad_rel_tol"),
+    "tolerances": ("rel_tol", "epsilon"),
     "output": ("path", "format"),
 }
 
@@ -154,11 +135,7 @@ def resolve_config(args: argparse.Namespace, *, default_format: str = "csv") -> 
     if getattr(args, "config", None):
         with open(args.config) as fh:
             values.update(_config_from_dict(json.load(fh)))
-    flag_fields = (
-        "g", "J", "origin_norm", "probe_norm", "step_factor",
-        "dimension", "extent", "boundary",
-        "rel_tol", "epsilon", "quad_rel_tol",
-    )
+    flag_fields = ("g", "J", "origin_norm", "probe_norm", "step_factor", "rel_tol", "epsilon")
     for field in flag_fields:
         value = getattr(args, field, None)
         if value is not None:
@@ -178,18 +155,11 @@ def resolve_config(args: argparse.Namespace, *, default_format: str = "csv") -> 
 
 
 def _echo(cfg: RunConfig) -> dict:
-    return {"schema_version": 1, "config": cfg.to_json_dict()}
+    return {"schema_version": 2, "config": cfg.to_json_dict()}
 
 
 def _output_path(cfg: RunConfig, command: str) -> str:
     return cfg.output_path if cfg.output_path is not None else _DEFAULT_OUTPUTS[command]
-
-
-def _write_sidecar(path: str) -> None:
-    meta = {"output": path, "written_at_unix": time.time()}
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_json_doc(path: str, doc: dict) -> None:
@@ -198,7 +168,15 @@ def _write_json_doc(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_table(path: str, fmt: str, columns: list[str], rows: list[tuple], echo: dict) -> None:
+def _write_sidecar(path: str) -> None:
+    _write_json_doc(path + ".meta.json", {"output": path, "written_at_unix": time.time()})
+
+
+def write_table(path: str, fmt: str, columns: list[str], rows: list[tuple], echo: dict) -> None:
+    """Rows as CSV under a "# config: <echo>" line, or as one JSON document.
+
+    Floats are written with repr, so they read back exactly.
+    """
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             fh.write("# config: " + json.dumps(echo, sort_keys=True) + "\n")
@@ -241,29 +219,21 @@ def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
     d_list = _parse_int_list(args.d, name="--d")
     if any(d < 0 for d in d_list):
         raise ValueError(f"--d entries must be >= 0, got {d_list}")
-    if cfg.dimension != 2:
-        raise ValueError(
-            "count compares against the planar closed form; exact counting in "
-            f"dimension {cfg.dimension} is out of scope"
-        )
 
     table = axis_walk_counts(args.nmax, max(d_list))
     comparisons = compare_closed_form(table.count, range(args.nmax + 1), d_list)
     path = _output_path(cfg, "count")
-    if cfg.output_format == "csv":
-        write_count_csv(path, comparisons, _echo(cfg))
-    else:
-        _write_table(
-            path,
-            "json",
-            ["n", "d", "dp_count", "closed_form", "match_flag"],
-            [(c.n, c.d, c.dp, c.closed_form, int(c.match)) for c in comparisons],
-            _echo(cfg),
-        )
+    write_table(
+        path,
+        cfg.output_format,
+        ["n", "d", "dp_count", "closed_form", "match_flag"],
+        [(c.n, c.d, c.dp, c.closed_form, int(c.match)) for c in comparisons],
+        _echo(cfg),
+    )
     report = fidelity_report(
         comparisons, context={**_echo(cfg), "n_max": args.nmax, "d_values": d_list}
     )
-    write_fidelity_report(path + ".fidelity.json", report)
+    _write_json_doc(path + ".fidelity.json", report)
     _write_sidecar(path)
     if report["mismatch_count"]:
         print(
@@ -287,16 +257,13 @@ def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
     evaluator = BoundEvaluator(cfg.couplings(), rel_tol=cfg.rel_tol)
     results = [evaluator.evaluate(t, d) for d in d_list for t in t_list]
     path = _output_path(cfg, "bound")
-    if cfg.output_format == "csv":
-        write_bound_grid_csv(path, results, _echo(cfg))
-    else:
-        _write_table(
-            path,
-            "json",
-            ["t", "d", "bound", "n_truncate", "tail"],
-            [(r.t, r.d, r.value, r.n_truncate, r.tail) for r in results],
-            _echo(cfg),
-        )
+    write_table(
+        path,
+        cfg.output_format,
+        ["t", "d", "bound", "n_truncate", "tail"],
+        [(r.t, r.d, r.value, r.n_truncate, r.tail) for r in results],
+        _echo(cfg),
+    )
     _write_sidecar(path)
     return EXIT_OK
 
@@ -337,7 +304,7 @@ def cmd_scan_dim(cfg: RunConfig, args: argparse.Namespace) -> int:
     grid = [args.dim_min + span * k / (args.num - 1) for k in range(args.num)]
     rows = dimension_scan(grid, cfg.couplings())
     path = _output_path(cfg, "scan-dim")
-    _write_table(path, cfg.output_format, ["D", "v_axis_pairs", "v_degrees"], rows, _echo(cfg))
+    write_table(path, cfg.output_format, ["D", "v_axis_pairs", "v_degrees"], rows, _echo(cfg))
     _write_sidecar(path)
     return EXIT_OK
 
@@ -355,40 +322,13 @@ def cmd_horizon(cfg: RunConfig, args: argparse.Namespace) -> int:
         mode="strict" if args.strict else "toy",
     )
     path = _output_path(cfg, "horizon")
-    if cfg.output_format == "csv":
-        write_lightcone_csv(
-            path,
-            model,
-            0.0,
-            args.tf,
-            args.steps,
-            config_echo=_echo(cfg),
-            quad_rel_tol=cfg.quad_rel_tol,
-        )
-    else:
-        per = {
-            conv: lightcone_boundary(
-                dc_replace(model, convention=conv),
-                0.0,
-                args.tf,
-                args.steps,
-                quad_rel_tol=cfg.quad_rel_tol,
-            )
-            for conv in BranchingConvention
-        }
-        rows = [
-            (t, r_axis, r_deg)
-            for (t, r_axis), (_, r_deg) in zip(
-                per[BranchingConvention.AXIS_PAIRS], per[BranchingConvention.DEGREES]
-            )
-        ]
-        _write_table(
-            path,
-            "json",
-            ["t", "r_axis_pairs", "r_degrees"],
-            rows,
-            {**_echo(cfg), "model": model_to_json_dict(model)},
-        )
+    write_table(
+        path,
+        cfg.output_format,
+        ["t", "r_axis_pairs", "r_degrees"],
+        lightcone_rows(model, 0.0, args.tf, args.steps),
+        {**_echo(cfg), "model": model_to_json_dict(model)},
+    )
     _write_sidecar(path)
     return EXIT_OK
 
@@ -428,9 +368,6 @@ def build_parser() -> _Parser:
     _add_common(p_count)
     p_count.add_argument("--nmax", type=int, default=20)
     p_count.add_argument("--d", default="1,2,3", help="comma-separated distances")
-    p_count.add_argument("--dimension", type=int)
-    p_count.add_argument("--extent", type=int)
-    p_count.add_argument("--boundary", choices=("open", "periodic"))
     p_count.set_defaults(func=cmd_count)
 
     p_bound = sub.add_parser("bound", help="evaluate the bound on a (t, d) grid")
@@ -466,7 +403,6 @@ def build_parser() -> _Parser:
         default=BranchingConvention.AXIS_PAIRS.value,
     )
     p_hor.add_argument("--strict", action="store_true", help="reject D(t) < 2")
-    p_hor.add_argument("--quad-rel-tol", dest="quad_rel_tol", type=float)
     p_hor.set_defaults(func=cmd_horizon)
 
     return parser

@@ -16,19 +16,17 @@ rather than hiding the discrepancy.
 
 The toy model shrinks the dimension linearly in time, D(t) = D_in (1 - alpha
 t), and the horizon is the time integral of the dimension-dependent velocity,
-producing parabolic light-cone sides in the linear-velocity regime.
+producing parabolic light-cone sides in the linear-velocity regime.  Both
+integrands, sqrt(D (D - 1)) and sqrt(D - 1), have elementary antiderivatives,
+so the horizon is evaluated in closed form.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
-
-from scipy.integrate import quad
 
 from .lrbound import Couplings
 
@@ -142,18 +140,43 @@ class HorizonModel:
         )
 
 
-def horizon_distance(
-    model: HorizonModel,
-    t_i: float,
-    t_f: float,
-    *,
-    quad_rel_tol: float = 1e-11,
+def _mean_root_branching(
+    D_lo: float, D_hi: float, convention: BranchingConvention
 ) -> float:
-    """Integral of the dimension-dependent velocity over [t_i, t_f].
+    """Mean of sqrt(b_D) over [D_lo, D_hi], for 2 <= D_lo <= D_hi.
 
-    In toy mode the integrand vanishes identically once D(t) drops below the
-    plaquette threshold, so the integration is cut there exactly instead of
-    asking the quadrature to straddle the kink.
+    axis_pairs: sqrt(b_D) = 2 sqrt(D (D - 1)); with u = D - 1/2 and
+    s = sqrt(u^2 - 1/4) its antiderivative is u s - log(u + s) / 4.
+    degrees: sqrt(b_D) = sqrt(8) sqrt(D - 1), antiderivative
+    sqrt(8) (2/3) (D - 1)^(3/2).  Each difference F(D_hi) - F(D_lo) is
+    rewritten as the width times a quotient, and the width cancels against
+    the mean's 1 / width, so nothing cancels when the interval is tiny next to
+    D (D_in = 1e9) and a zero-width interval gives sqrt(b_D) itself.
+    """
+    width = D_hi - D_lo
+    if convention is BranchingConvention.AXIS_PAIRS:
+        ua, ub = D_lo - 0.5, D_hi - 0.5
+        sa, sb = math.sqrt(ua * ua - 0.25), math.sqrt(ub * ub - 0.25)
+        # (ub sb - ua sa) / width and log((ub + sb) / (ua + sa)) = log1p(x).
+        prod_mean = (ub + ua) * (ub * ub + ua * ua - 0.25) / (ub * sb + ua * sa)
+        log_rate = (1.0 + (ub + ua) / (sb + sa)) / (ua + sa)
+        x = width * log_rate
+        log_mean = log_rate * (math.log1p(x) / x if x > 0.0 else 1.0)
+        return prod_mean - 0.25 * log_mean
+    if convention is BranchingConvention.DEGREES:
+        p, q = math.sqrt(D_hi - 1.0), math.sqrt(D_lo - 1.0)
+        return math.sqrt(8.0) * (2.0 / 3.0) * (p * p + p * q + q * q) / (p + q)
+    raise ValueError(f"unknown convention {convention!r}")
+
+
+def horizon_distance(model: HorizonModel, t_i: float, t_f: float) -> float:
+    """Integral of the dimension-dependent velocity over [t_i, t_f], in closed form.
+
+    D(t) is linear in t, so the integral is the duration times the mean
+    velocity over the D-interval swept (`_mean_root_branching`); alpha = 0
+    sweeps a single D and gives the linear cone.  In toy mode the velocity
+    vanishes once D(t) drops below the plaquette threshold, so the interval is
+    cut there.
     """
     if t_f < t_i:
         raise ValueError(f"need t_i <= t_f, got t_i = {t_i}, t_f = {t_f}")
@@ -171,14 +194,21 @@ def horizon_distance(
     if t_f == t_i:
         return 0.0
 
-    # Clip to the region where the velocity is nonzero.
-    t_stop = min(t_f, model.time_at_dimension(PLAQUETTE_THRESHOLD))
+    # Clip to the region where the velocity is nonzero, D(t) >= 2.  With
+    # alpha = 0 that is all or nothing: at D_in = 2 exactly, D never drops
+    # below the threshold, although time_at_dimension(2) reads 0.
+    if model.D_in < PLAQUETTE_THRESHOLD:
+        return 0.0
+    if model.alpha == 0.0:
+        t_stop = t_f
+    else:
+        t_stop = min(t_f, model.time_at_dimension(PLAQUETTE_THRESHOLD))
     if t_stop <= t_i:
         return 0.0
-    value, _ = quad(
-        model.velocity, t_i, t_stop, epsabs=0.0, epsrel=quad_rel_tol, limit=200
-    )
-    return value
+    D_lo = max(model.dimension(t_stop), PLAQUETTE_THRESHOLD)
+    mean = _mean_root_branching(D_lo, model.dimension(t_i), model.convention)
+    c = model.couplings
+    return c.step_factor * (math.e / 2.0) * math.sqrt(c.g * c.J) * mean * (t_stop - t_i)
 
 
 def lightcone_boundary(
@@ -186,29 +216,44 @@ def lightcone_boundary(
     t_start: float,
     t_end: float,
     steps: int,
-    *,
-    quad_rel_tol: float = 1e-11,
 ) -> list[tuple[float, float]]:
     """Horizon radius r(t_k) on a uniform grid of `steps` samples.
 
     r is accumulated panel by panel, so monotonicity holds by construction
-    and each sample equals horizon_distance(model, t_start, t_k) to
-    quadrature accuracy.
+    and each sample equals horizon_distance(model, t_start, t_k) up to
+    rounding.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if t_end < t_start:
         raise ValueError(f"need t_start <= t_end, got {t_start}, {t_end}")
     # Validates the whole interval up front (monotone D: endpoint suffices).
-    horizon_distance(model, t_start, t_end, quad_rel_tol=quad_rel_tol)
+    horizon_distance(model, t_start, t_end)
 
-    times = [t_start + (t_end - t_start) * k / (steps - 1) for k in range(steps)]
+    # The last sample is t_end itself: the grid formula can round past it.
+    times = [t_start + (t_end - t_start) * k / (steps - 1) for k in range(steps - 1)]
+    times.append(t_end)
     samples = [(times[0], 0.0)]
     total = 0.0
     for t_prev, t_next in zip(times, times[1:]):
-        total += horizon_distance(model, t_prev, t_next, quad_rel_tol=quad_rel_tol)
+        total += horizon_distance(model, t_prev, t_next)
         samples.append((t_next, total))
     return samples
+
+
+def lightcone_rows(
+    model: HorizonModel, t_start: float, t_end: float, steps: int
+) -> list[tuple[float, float, float]]:
+    """Rows of (t, r_axis_pairs, r_degrees) on one grid.
+
+    Both conventions are sampled regardless of the model's own convention
+    field, so the discrepancy is visible in every output.
+    """
+    axis_pairs, degrees = (
+        lightcone_boundary(replace(model, convention=conv), t_start, t_end, steps)
+        for conv in (BranchingConvention.AXIS_PAIRS, BranchingConvention.DEGREES)
+    )
+    return [(t, r_axis, r_deg) for (t, r_axis), (_, r_deg) in zip(axis_pairs, degrees)]
 
 
 def model_to_json_dict(model: HorizonModel) -> dict:
@@ -225,45 +270,6 @@ def model_to_json_dict(model: HorizonModel) -> dict:
         "convention": model.convention.value,
         "mode": model.mode,
     }
-
-
-def write_lightcone_csv(
-    path: str,
-    model: HorizonModel,
-    t_start: float,
-    t_end: float,
-    steps: int,
-    *,
-    config_echo: dict | None = None,
-    quad_rel_tol: float = 1e-11,
-) -> list[tuple[float, float, float]]:
-    """CSV of (t, r_axis_pairs, r_degrees) with the model echoed in the header.
-
-    Both conventions are sampled on the same grid regardless of the model's
-    own convention field, so the discrepancy is visible in every file.
-    """
-    per_convention = {
-        conv: lightcone_boundary(
-            replace(model, convention=conv), t_start, t_end, steps, quad_rel_tol=quad_rel_tol
-        )
-        for conv in (BranchingConvention.AXIS_PAIRS, BranchingConvention.DEGREES)
-    }
-    rows = [
-        (t, r_axis, r_deg)
-        for (t, r_axis), (_, r_deg) in zip(
-            per_convention[BranchingConvention.AXIS_PAIRS],
-            per_convention[BranchingConvention.DEGREES],
-        )
-    ]
-    header = dict(config_echo) if config_echo is not None else {}
-    header["model"] = model_to_json_dict(model)
-    with open(path, "w", newline="") as fh:
-        fh.write("# config: " + json.dumps(header, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "r_axis_pairs", "r_degrees"])
-        for t, r_axis, r_deg in rows:
-            writer.writerow([repr(t), repr(r_axis), repr(r_deg)])
-    return rows
 
 
 def dimension_scan(

@@ -24,9 +24,8 @@ best tail are both below rel_tol times the running partial sum.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -254,7 +253,8 @@ def evaluate_bound(
 
     Stops at the first n where the last `consecutive_small` terms are each
     <= rel_tol times the running partial sum and the kappa-minimised tail is
-    too; raises ConvergenceError if that never happens by n_limit.
+    too; raises ConvergenceError if that never happens by n_limit, or once a
+    term or the prefactored partial sum leaves the float range.
     """
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"t must be finite and >= 0, got {t}")
@@ -270,27 +270,38 @@ def evaluate_bound(
     for n in range(n_limit + 1):
         source.ensure(n, d)
         log_term = log_series_term(n, source.count(n, d), t, couplings)
-        term = 0.0 if log_term == -math.inf else math.exp(log_term)
-        terms.append(term)
-        partial = math.fsum(terms)
+        try:
+            term = 0.0 if log_term == -math.inf else math.exp(log_term)
+            terms.append(term)
+            partial = math.fsum(terms)
+        except OverflowError:
+            break
         streak = streak + 1 if term <= rel_tol * partial else 0
         if streak >= consecutive_small:
             # tail_bound carries the full 4 |P| |Q| prefactor, so compare it
             # against the prefactored partial sum.
             tail = best_tail_bound(n, t, d, couplings, kappa_grid)
             if tail.value <= rel_tol * couplings.prefactor * partial:
+                value = couplings.prefactor * partial
+                if not math.isfinite(value):
+                    break
                 return BoundSeriesResult(
                     t=t,
                     d=d,
-                    value=couplings.prefactor * partial,
+                    value=value,
                     n_truncate=n,
                     tail=tail.value,
                     tail_kappa=tail.kappa,
                     terms=tuple(terms),
                 )
+    else:
+        raise ConvergenceError(
+            f"series for t = {t}, d = {d} not certified by n = {n_limit} "
+            f"(rel_tol = {rel_tol})"
+        )
     raise ConvergenceError(
-        f"series for t = {t}, d = {d} not certified by n = {n_limit} "
-        f"(rel_tol = {rel_tol})"
+        f"series for t = {t}, d = {d} exceeds the float range "
+        f"(max {sys.float_info.max:.6g}) at n = {n}"
     )
 
 
@@ -326,16 +337,3 @@ class BoundEvaluator:
             n_limit=self.n_limit,
         )
 
-
-def write_bound_grid_csv(
-    path: str,
-    results: Sequence[BoundSeriesResult],
-    config_echo: dict,
-) -> None:
-    """CSV of (t, d, bound, n_truncate, tail) with a JSON config header line."""
-    with open(path, "w", newline="") as fh:
-        fh.write("# config: " + json.dumps(config_echo, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "d", "bound", "n_truncate", "tail"])
-        for r in results:
-            writer.writerow([repr(r.t), r.d, repr(r.value), r.n_truncate, repr(r.tail)])

@@ -24,8 +24,6 @@ allowed.  Three count sources exist:
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -35,8 +33,6 @@ import numpy as np
 from .lattice import DecoratedLattice, LatticeSpec
 
 DEFAULT_MAX_STORED_ENTRIES = 5_000_000
-
-_TWO_STEP_CHOICES = 8  # from a link: 2 plaquettes; from a plaquette: 4 links
 
 
 class ExtentGuardError(ValueError):
@@ -422,18 +418,3 @@ def fidelity_report(comparisons: Sequence[CountComparison], context: dict | None
         "context": context or {},
     }
 
-
-def write_fidelity_report(path: str, report: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def write_count_csv(path: str, comparisons: Sequence[CountComparison], config_echo: dict) -> None:
-    """CSV of (n, d, dp_count, closed_form, match_flag) with a JSON config header line."""
-    with open(path, "w", newline="") as fh:
-        fh.write("# config: " + json.dumps(config_echo, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["n", "d", "dp_count", "closed_form", "match_flag"])
-        for c in comparisons:
-            writer.writerow([c.n, c.d, c.dp, c.closed_form, int(c.match)])

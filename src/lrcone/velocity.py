@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .lrbound import BoundEvaluator, Couplings
 
@@ -44,25 +43,13 @@ class KappaOptimum:
         return math.isfinite(self.kappa_star) and self.kappa_star > 0
 
 
-def optimize_kappa(couplings: Couplings, *, bounds: tuple[float, float] = (1e-6, 60.0)) -> KappaOptimum:
-    """Minimise exp(kappa)/kappa; Newton-polish the scipy optimum.
+def optimize_kappa(couplings: Couplings) -> KappaOptimum:
+    """Minimum of exp(kappa)/kappa over kappa > 0.
 
-    The objective is smooth and strictly convex on (0, inf) with a unique
-    interior minimum, so a bounded scalar minimisation followed by a few
-    Newton steps on the stationarity condition pins kappa to full precision.
+    The derivative exp(kappa) (kappa - 1) / kappa^2 vanishes only at
+    kappa = 1, where the strictly convex objective takes the value e.
     """
-    res = minimize_scalar(
-        lambda k: math.exp(k) / k,
-        bounds=bounds,
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    kappa = float(res.x)
-    # d/dk [e^k / k] = e^k (k - 1) / k^2 ; second derivative e^k (k^2 - 2k + 2) / k^3
-    for _ in range(4):
-        step = (kappa - 1.0) * kappa / (kappa * kappa - 2.0 * kappa + 2.0)
-        kappa -= step
-        kappa = min(max(kappa, bounds[0]), bounds[1])
+    kappa = 1.0
     objective = math.exp(kappa) / kappa
     return KappaOptimum(
         kappa_star=kappa,
@@ -357,7 +344,7 @@ def extract_velocity(
 
 def velocity_report_to_json_dict(report: VelocityReport) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "couplings": {
             "g": report.couplings.g,
             "J": report.couplings.J,

@@ -17,6 +17,8 @@ from lrcone.cosmo import (
     BranchingConvention,
     HorizonModel,
     lightcone_boundary,
+    lightcone_rows,
+    model_to_json_dict,
     v_lr_dimension,
 )
 from lrcone.lrbound import BoundEvaluator, Couplings, DpCountSource
@@ -48,7 +50,7 @@ def test_count_reports_mismatch_and_exits_2(tmp_path):
 
     echo, header, rows = read_csv(out)
     assert header == ["n", "d", "dp_count", "closed_form", "match_flag"]
-    assert echo["schema_version"] == 1
+    assert echo["schema_version"] == 2
     assert len(rows) == 3 * 9
     table = {(int(n), int(d)): (int(dp), int(cf), int(flag)) for n, d, dp, cf, flag in rows}
     assert table[(4, 0)] == (10, 384, 0)
@@ -82,9 +84,11 @@ def test_count_json_format(tmp_path):
 
 
 def test_count_rejects_nonplanar_dimension(tmp_path, capsys):
+    # count is planar by construction; there is no flag to ask otherwise.
     code = run("count", "--dimension", "3", "--output", str(tmp_path / "x.csv"))
     assert code == cli.EXIT_USAGE
-    assert "out of scope" in capsys.readouterr().err
+    assert "unrecognized arguments: --dimension 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -131,6 +135,13 @@ def test_bound_json_format(tmp_path):
     assert (t, d, bound, n_truncate, tail) == (1.0, 2, ref.value, ref.n_truncate, ref.tail)
 
 
+def test_bound_past_float_range_exits_3_without_artifact(tmp_path, capsys):
+    code = run("bound", "--t", "400", "--d", "2", "--output", str(tmp_path / "x.csv"))
+    assert code == cli.EXIT_NUMERIC
+    assert "float range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bound_usage_errors(tmp_path):
     assert run("bound", "--t", "-1.0", "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
     assert run("bound", "--d", "2.5", "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
@@ -154,7 +165,7 @@ def test_velocity_report_matches_library(tmp_path):
     )
     assert code == cli.EXIT_OK
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["d_values"] == [4, 6, 8, 10]
     assert doc["epsilon"] == 1e-6
     assert doc["config"]["couplings"]["g"] == 0.5
@@ -248,6 +259,28 @@ def test_horizon_csv_matches_library(tmp_path):
         for (t_ref, r_ref), row in zip(ref, rows):
             assert float(row[0]) == t_ref
             assert float(row[col]) == pytest.approx(r_ref, rel=1e-12, abs=1e-300)
+
+
+def test_horizon_csv_roundtrip(tmp_path):
+    out = tmp_path / "cone.csv"
+    argv = ["horizon", "--Din", "6", "--alpha", "0.02", "--tf", "5", "--steps", "6",
+            "--output", str(out)]
+    assert run(*argv) == cli.EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    echoed = json.loads(lines[0].removeprefix("# config: "))
+    model = HorizonModel(D_in=6.0, alpha=0.02, couplings=Couplings(g=0.5, J=0.5))
+    assert echoed["model"] == model_to_json_dict(model)
+    assert lines[1] == "t,r_axis_pairs,r_degrees"
+    assert len(lines) == 2 + 6
+    parsed = [tuple(float(x) for x in line.split(",")) for line in lines[2:]]
+    assert parsed == lightcone_rows(model, 0.0, 5.0, 6)
+    # Conventions genuinely differ above D = 2 and the file shows both.
+    assert all(ra > rd for _, ra, rd in parsed[1:])
+    # Byte-identical determinism.
+    first = out.read_bytes()
+    assert run(*argv) == cli.EXIT_OK
+    assert out.read_bytes() == first
 
 
 def test_horizon_alpha_zero_is_linear(tmp_path):
@@ -362,6 +395,23 @@ def test_bad_config_files_exit_1(tmp_path, doc):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(doc))
     assert run("bound", "--config", str(cfg_path), "--output", str(tmp_path / "x")) == 1
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [("lattice", "dimension"), ("lattice", "extent"), ("tolerances", "quad_rel_tol")],
+)
+def test_schema_1_config_keys_exit_1(tmp_path, capsys, section, key):
+    # The lattice section and quad_rel_tol were read by no command and are
+    # gone from schema 2; an old echo that still carries them is refused.
+    value = {"dimension": 2, "extent": 12, "quad_rel_tol": 1e-11}[key]
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({"schema_version": 1, section: {key: value}}))
+    out = tmp_path / "x.csv"
+    assert run("bound", "--config", str(cfg_path), "--output", str(out)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unknown" in err and (section if section == "lattice" else key) in err
+    assert not out.exists()
 
 
 def test_malformed_and_missing_config_files_exit_1(tmp_path):

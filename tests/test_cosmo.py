@@ -1,10 +1,11 @@
 """Dimension-dependent velocity and the shrinking-dimension horizon model."""
 
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lrcone.cosmo import (
     BranchingConvention,
@@ -14,14 +15,14 @@ from lrcone.cosmo import (
     dimension_scan,
     horizon_distance,
     lightcone_boundary,
-    model_to_json_dict,
     v_lr_dimension,
-    write_lightcone_csv,
 )
 from lrcone.lattice import LatticeSpec, build_decorated_lattice
 from lrcone.lrbound import Couplings
 from lrcone.pathcount import centered_axis_link
 from lrcone.velocity import optimize_kappa
+
+from reference import horizon_radius_quadrature
 
 HALF = Couplings(g=0.5, J=0.5)
 
@@ -159,6 +160,13 @@ def test_horizon_distance_matches_linearized_closed_form():
     assert horizon_distance(m, 0.0, t_f) == pytest.approx(closed, rel=1e-8)
 
 
+@pytest.mark.parametrize("mode", ["toy", "strict"])
+def test_horizon_at_planar_dimension_with_alpha_zero_is_linear(mode):
+    # D stays at 2 forever, where the velocity is the planar e, not zero.
+    m = HorizonModel(D_in=2.0, alpha=0.0, couplings=HALF, mode=mode)
+    assert horizon_distance(m, 1.0, 4.0) == pytest.approx(3.0 * math.e, rel=1e-12)
+
+
 def test_horizon_strict_mode_rejects_threshold_crossing():
     m = HorizonModel(D_in=4.0, alpha=0.1, couplings=HALF, mode="strict")
     assert horizon_distance(m, 0.0, 4.9) > 0
@@ -204,6 +212,14 @@ def test_lightcone_boundary_linear_when_alpha_zero():
         assert r == pytest.approx(v5 * t, rel=1e-8, abs=1e-12)
 
 
+def test_lightcone_boundary_ends_exactly_at_t_end():
+    # t_end is the D = 1 crossing; t_end * 23 / 23 rounds one ulp past it.
+    m = HorizonModel(D_in=2.0, alpha=0.03813175971493311, couplings=HALF)
+    t_end = 13.112429212234616
+    samples = lightcone_boundary(m, 0.0, t_end, 24)
+    assert samples[-1] == (t_end, 0.0)
+
+
 def test_lightcone_boundary_validation():
     m = HorizonModel(D_in=5.0, alpha=0.0, couplings=HALF)
     with pytest.raises(ValueError, match="steps"):
@@ -212,21 +228,53 @@ def test_lightcone_boundary_validation():
         lightcone_boundary(m, 1.0, 0.0, 5)
 
 
-def test_lightcone_csv_roundtrip(tmp_path):
-    m = HorizonModel(D_in=6.0, alpha=0.02, couplings=HALF)
-    path = tmp_path / "cone.csv"
-    rows = write_lightcone_csv(str(path), m, 0.0, 5.0, 6)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# config: ")
-    echoed = json.loads(lines[0].removeprefix("# config: "))
-    assert echoed["model"] == model_to_json_dict(m)
-    assert lines[1] == "t,r_axis_pairs,r_degrees"
-    assert len(lines) == 2 + 6
-    parsed = [tuple(float(x) for x in line.split(",")) for line in lines[2:]]
-    assert parsed == [(t, ra, rd) for t, ra, rd in rows]
-    # Conventions genuinely differ above D = 2 and the file shows both.
-    assert all(ra > rd for _, ra, rd in rows[1:])
-    # Byte-identical determinism.
-    first = path.read_bytes()
-    write_lightcone_csv(str(path), m, 0.0, 5.0, 6)
-    assert path.read_bytes() == first
+# ---------------------------------------------------------------------------
+# Closed form against the independent quadrature.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def horizon_cases(draw):
+    """A model over D_in in [2, 1e9], alpha in [0, 0.1], and t_i <= t_f inside its domain."""
+    D_in = draw(st.floats(min_value=2.0, max_value=1e9))
+    alpha = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.1)))
+    model = HorizonModel(
+        D_in=D_in,
+        alpha=alpha,
+        couplings=HALF,
+        convention=draw(st.sampled_from(BranchingConvention)),
+        mode=draw(st.sampled_from(["toy", "strict"])),
+    )
+    floor = 1.0 if model.mode == "toy" else 2.0
+    t_max = min(model.time_at_dimension(floor), 1e6)
+    t_f = draw(st.floats(min_value=0.0, max_value=1.0)) * t_max
+    t_i = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))) * t_f
+    assume(model.dimension(t_f) >= floor)
+    return model, t_i, t_f
+
+
+@given(horizon_cases())
+@settings(max_examples=300, deadline=None)
+def test_horizon_distance_matches_quadrature(case):
+    model, t_i, t_f = case
+    value = horizon_distance(model, t_i, t_f)
+    reference = horizon_radius_quadrature(
+        model.D_in,
+        model.alpha,
+        t_i,
+        t_f,
+        g=HALF.g,
+        J=HALF.J,
+        step=HALF.step_factor,
+        convention=model.convention.value,
+    )
+    assert value == pytest.approx(reference, rel=1e-12, abs=1e-300)
+
+
+@given(horizon_cases(), st.integers(min_value=2, max_value=40))
+@settings(max_examples=100, deadline=None)
+def test_lightcone_boundary_monotone_and_ends_at_horizon_distance(case, steps):
+    model, _, t_end = case
+    radii = [r for _, r in lightcone_boundary(model, 0.0, t_end, steps)]
+    assert all(b >= a for a, b in zip(radii, radii[1:]))
+    assert radii[-1] == pytest.approx(horizon_distance(model, 0.0, t_end), rel=1e-12, abs=1e-300)

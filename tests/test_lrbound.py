@@ -258,6 +258,20 @@ def test_convergence_error_when_budget_too_small(shared_source):
         evaluate_bound(3.0, 2, HALF, source=shared_source, n_limit=10)
 
 
+@pytest.mark.parametrize(
+    "t,couplings",
+    [
+        (400.0, HALF),  # a term itself overflows
+        (10.0, Couplings(g=0.5, J=0.5, origin_norm=1e153, probe_norm=1e153)),  # the prefactor does
+    ],
+)
+def test_bound_past_float_range_is_refused(t, couplings):
+    begin = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"float range .* at n = \d+"):
+        evaluate_bound(t, 2, couplings)
+    assert time.perf_counter() - begin < 5.0
+
+
 # ---------------------------------------------------------------------------
 # Evaluator wrapper and structural invariants.
 # ---------------------------------------------------------------------------

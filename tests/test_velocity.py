@@ -241,7 +241,7 @@ def test_profile_augmented_report(evaluator):
 
 def test_report_json_shape(small_window_report):
     doc = velocity_report_to_json_dict(small_window_report)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["couplings"]["g"] == 0.5
     assert [d for d, _ in doc["arrivals"]] == [4, 6, 8, 10, 12]
     assert doc["fit"]["v"] == small_window_report.fit.velocity
