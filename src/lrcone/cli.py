@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -81,13 +82,7 @@ class RunConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "couplings": {
-                "g": self.g,
-                "J": self.J,
-                "origin_norm": self.origin_norm,
-                "probe_norm": self.probe_norm,
-                "step_factor": self.step_factor,
-            },
+            "couplings": self.couplings().to_json_dict(),
             "tolerances": {
                 "rel_tol": self.rel_tol,
                 "epsilon": self.epsilon,
@@ -408,8 +403,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Parsing leaves no state in the tree, so every `main` call shares one.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -178,6 +178,8 @@ def horizon_distance(model: HorizonModel, t_i: float, t_f: float) -> float:
     vanishes once D(t) drops below the plaquette threshold, so the interval is
     cut there.
     """
+    if not (math.isfinite(t_i) and math.isfinite(t_f)):
+        raise ValueError(f"t_i and t_f must be finite, got t_i = {t_i}, t_f = {t_f}")
     if t_f < t_i:
         raise ValueError(f"need t_i <= t_f, got t_i = {t_i}, t_f = {t_f}")
     d_end = model.dimension(t_f)
@@ -260,13 +262,7 @@ def model_to_json_dict(model: HorizonModel) -> dict:
     return {
         "D_in": model.D_in,
         "alpha": model.alpha,
-        "couplings": {
-            "g": model.couplings.g,
-            "J": model.couplings.J,
-            "origin_norm": model.couplings.origin_norm,
-            "probe_norm": model.couplings.probe_norm,
-            "step_factor": model.couplings.step_factor,
-        },
+        "couplings": model.couplings.to_json_dict(),
         "convention": model.convention.value,
         "mode": model.mode,
     }

@@ -17,33 +17,36 @@ bound derived from the crude exponential dominating count
     tail(N) <= 4 |P| |Q| exp(kappa (4 - 2 d)) * x^(N+1) / (N+1)! * 1 / (1 - x / (N+2)),
     x       = step * t * sqrt(8 g J) * exp(kappa),
 
-valid for every kappa > 0 whenever x < N + 2.  The evaluator minimises the
-tail over a fixed kappa grid and stops once five consecutive terms and the
-best tail are both below rel_tol times the running partial sum.
+valid for every kappa > 0 whenever x < N + 2.  The evaluator certifies the
+tail at the single kappa TAIL_KAPPA and stops once five consecutive terms
+and that tail are both below rel_tol times the running partial sum; the
+count source's hard_n_limit is its only work budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .pathcount import count_walks_closed_form, walk_count_column
+from .pathcount import walk_count_column
 
 # Not used here; perfbench's traced run (--trace 1) patches this attribute.
 from .pathcount import axis_walk_counts  # noqa: F401
 
 DEFAULT_STEP_FACTOR = math.sqrt(2.0)
 
-# Geometric grid spanning small-kappa (loose prefactor, slow decay) through
-# kappa ~ 2 (tight decay, huge prefactor); 1.0 is the analytic optimum for
-# the asymptotic cone and is included exactly.
-DEFAULT_KAPPA_GRID: tuple[float, ...] = tuple(
-    sorted(set(float(k) for k in np.geomspace(1e-3, 2.0, 24)) | {1.0})
-)
+# The kappa-derivative of log tail(N) is (N + 5 - 2 d) + y / (1 - y) with
+# y = x / (N + 2) in (0, 1).  A tail is only accepted once the partial sum is
+# positive, which needs a nonzero term and so N >= 2 d; the tail then rises
+# with kappa, and its smallest kappa gives the tightest certificate.  Any
+# small positive value is valid; every certified tail in the artifacts and
+# regression values is computed at this one.
+TAIL_KAPPA = 1e-3
+
+# The five-term streak of small terms that precedes every tail check.
+CONSECUTIVE_SMALL = 5
 
 
 class ConvergenceError(RuntimeError):
@@ -86,6 +89,10 @@ class Couplings:
     def prefactor(self) -> float:
         """Overall factor 2 |P| |Q| multiplying the series."""
         return 2.0 * self.origin_norm * self.probe_norm
+
+    def to_json_dict(self) -> dict:
+        """The five fields by name, as every artifact echoes them."""
+        return asdict(self)
 
 
 def log_series_term(n: int, count: int, t: float, couplings: Couplings) -> float:
@@ -133,31 +140,13 @@ def tail_bound(n_truncate: int, t: float, d: int, couplings: Couplings, kappa: f
     return math.exp(log_tail)
 
 
-@dataclass(frozen=True)
-class TailEstimate:
-    value: float
-    kappa: float
-
-
-def best_tail_bound(
-    n_truncate: int,
-    t: float,
-    d: int,
-    couplings: Couplings,
-    kappa_grid: Sequence[float] = DEFAULT_KAPPA_GRID,
-) -> TailEstimate:
-    """Minimum of the tail bound over the kappa grid."""
-    best = TailEstimate(value=math.inf, kappa=float(kappa_grid[0]))
-    for kappa in kappa_grid:
-        val = tail_bound(n_truncate, t, d, couplings, kappa)
-        if val < best.value:
-            best = TailEstimate(value=val, kappa=float(kappa))
-    return best
+def best_tail_bound(n_truncate: int, t: float, d: int, couplings: Couplings) -> float:
+    """The certified tail: tail_bound at TAIL_KAPPA, its minimum once N >= 2 d - 5."""
+    return tail_bound(n_truncate, t, d, couplings, TAIL_KAPPA)
 
 
 # ---------------------------------------------------------------------------
-# Count sources: exact per-distance columns (canonical) and the literal
-# closed form (audit).
+# Count source.
 # ---------------------------------------------------------------------------
 
 
@@ -165,7 +154,8 @@ class DpCountSource:
     """Exact walk counts, one lazily built closed-form column per distance.
 
     `n_max` is the walk length every count is served to; requests beyond it
-    double it, up to `hard_n_limit`.  The column for distance d is built by
+    double it, up to `hard_n_limit`, which is also the work budget of every
+    series evaluated from this source.  The column for distance d is built by
     `walk_count_column` on its first use and rebuilt to the current n_max
     when a longer count is asked for, so a run pays only for the distances it
     evaluates.  The name dates from when counts came from the grid dynamic
@@ -206,16 +196,6 @@ class DpCountSource:
         return column[n]
 
 
-class ClosedFormCountSource:
-    """Literal closed-form counts; see the pathcount fidelity report before use."""
-
-    def ensure(self, n: int, d: int) -> None:  # noqa: ARG002 - no storage to grow
-        return
-
-    def count(self, n: int, d: int) -> int:
-        return count_walks_closed_form(n, d)
-
-
 # ---------------------------------------------------------------------------
 # Series evaluation.
 # ---------------------------------------------------------------------------
@@ -230,8 +210,6 @@ class BoundSeriesResult:
     value: float
     n_truncate: int
     tail: float
-    tail_kappa: float
-    terms: tuple[float, ...] = field(repr=False)
 
     @property
     def rigorous_upper(self) -> float:
@@ -245,30 +223,34 @@ def evaluate_bound(
     *,
     source=None,
     rel_tol: float = 1e-10,
-    consecutive_small: int = 5,
-    kappa_grid: Sequence[float] = DEFAULT_KAPPA_GRID,
-    n_limit: int = 5000,
 ) -> BoundSeriesResult:
     """Evaluate the bound series at one (t, d) with certified truncation.
 
-    Stops at the first n where the last `consecutive_small` terms are each
-    <= rel_tol times the running partial sum and the kappa-minimised tail is
-    too; raises ConvergenceError if that never happens by n_limit, or once a
-    term or the prefactored partial sum leaves the float range.
+    Stops at the first n where the last CONSECUTIVE_SMALL terms are each
+    <= rel_tol times the running partial sum and the certified tail is too.
+    Raises ConvergenceError once the count source refuses to grow (its
+    hard_n_limit), or once a term or the prefactored partial sum leaves the
+    float range.
     """
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
+    if not (rel_tol > 0 and math.isfinite(rel_tol)):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
     if source is None:
         source = DpCountSource()
 
     terms: list[float] = []
     streak = 0
-    for n in range(n_limit + 1):
-        source.ensure(n, d)
+    for n in itertools.count():
+        try:
+            source.ensure(n, d)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"series for t = {t}, d = {d} not certified before n = {n} "
+                f"(rel_tol = {rel_tol}): {exc}"
+            ) from None
         log_term = log_series_term(n, source.count(n, d), t, couplings)
         try:
             term = 0.0 if log_term == -math.inf else math.exp(log_term)
@@ -277,28 +259,15 @@ def evaluate_bound(
         except OverflowError:
             break
         streak = streak + 1 if term <= rel_tol * partial else 0
-        if streak >= consecutive_small:
+        if streak >= CONSECUTIVE_SMALL:
             # tail_bound carries the full 4 |P| |Q| prefactor, so compare it
             # against the prefactored partial sum.
-            tail = best_tail_bound(n, t, d, couplings, kappa_grid)
-            if tail.value <= rel_tol * couplings.prefactor * partial:
+            tail = best_tail_bound(n, t, d, couplings)
+            if tail <= rel_tol * couplings.prefactor * partial:
                 value = couplings.prefactor * partial
                 if not math.isfinite(value):
                     break
-                return BoundSeriesResult(
-                    t=t,
-                    d=d,
-                    value=value,
-                    n_truncate=n,
-                    tail=tail.value,
-                    tail_kappa=tail.kappa,
-                    terms=tuple(terms),
-                )
-    else:
-        raise ConvergenceError(
-            f"series for t = {t}, d = {d} not certified by n = {n_limit} "
-            f"(rel_tol = {rel_tol})"
-        )
+                return BoundSeriesResult(t=t, d=d, value=value, n_truncate=n, tail=tail)
     raise ConvergenceError(
         f"series for t = {t}, d = {d} exceeds the float range "
         f"(max {sys.float_info.max:.6g}) at n = {n}"
@@ -308,32 +277,10 @@ def evaluate_bound(
 class BoundEvaluator:
     """Reusable evaluator sharing one count source across many (t, d) calls."""
 
-    def __init__(
-        self,
-        couplings: Couplings,
-        *,
-        source=None,
-        rel_tol: float = 1e-10,
-        consecutive_small: int = 5,
-        kappa_grid: Sequence[float] = DEFAULT_KAPPA_GRID,
-        n_limit: int = 5000,
-    ) -> None:
+    def __init__(self, couplings: Couplings, *, source=None, rel_tol: float = 1e-10) -> None:
         self.couplings = couplings
         self.source = source if source is not None else DpCountSource()
         self.rel_tol = rel_tol
-        self.consecutive_small = consecutive_small
-        self.kappa_grid = tuple(kappa_grid)
-        self.n_limit = n_limit
 
     def evaluate(self, t: float, d: int) -> BoundSeriesResult:
-        return evaluate_bound(
-            t,
-            d,
-            self.couplings,
-            source=self.source,
-            rel_tol=self.rel_tol,
-            consecutive_small=self.consecutive_small,
-            kappa_grid=self.kappa_grid,
-            n_limit=self.n_limit,
-        )
-
+        return evaluate_bound(t, d, self.couplings, source=self.source, rel_tol=self.rel_tol)

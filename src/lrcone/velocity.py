@@ -7,9 +7,9 @@ certified velocity step * e * sqrt(2 g J).
 
 Numeric route: for each separation d, bisect for the arrival time t*(d)
 where B(t, d) first reaches a threshold epsilon, then fit the front
-d = velocity * t* + offset by least squares.  Optionally the profile
-log B = log A + (velocity * t - d) / decay_length is fitted on (t, d)
-samples for the decay length and amplitude of the envelope.
+d = velocity * t* + offset by least squares.  Optionally a profile of
+bound values at one time, log B = log A + (velocity * t - d) / decay_length,
+gives the decay length and amplitude of the envelope at the fitted velocity.
 """
 
 from __future__ import annotations
@@ -21,6 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from .lrbound import BoundEvaluator, Couplings
+
+
+# Fewest arrivals (and profile samples) a fit accepts, and the smallest
+# max / min ratio of the arrival distances.
+MIN_POINTS = 4
+MIN_DISTANCE_RATIO = 2.0
 
 
 class ThresholdUnreachableError(RuntimeError):
@@ -37,10 +43,6 @@ class KappaOptimum:
     kappa_star: float
     objective_min: float  # exp(kappa) / kappa at the optimum
     v_lr: float  # step_factor * coupling_speed * objective_min
-
-    @property
-    def is_interior(self) -> bool:
-        return math.isfinite(self.kappa_star) and self.kappa_star > 0
 
 
 def optimize_kappa(couplings: Couplings) -> KappaOptimum:
@@ -86,8 +88,8 @@ def geodesic_bracket_time(d: int, epsilon: float, couplings: Couplings) -> float
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     log_t = (math.lgamma(2 * d + 1) + math.log(epsilon / couplings.prefactor)) / (2 * d)
     return math.exp(log_t) / (couplings.step_factor * math.sqrt(couplings.g * couplings.J))
 
@@ -108,8 +110,8 @@ def arrival_time(
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     if time_rel_tol <= 0:
         raise ValueError(f"time_rel_tol must be > 0, got {time_rel_tol}")
 
@@ -156,13 +158,12 @@ def arrival_time(
 class LightConeFit:
     """Least-squares description of the numerically observed cone.
 
-    residual_rms is the root-mean-square deviation of the fitted model from
-    the data that determined the velocity (arrival distances when arrivals
-    are present, log bound values otherwise).
+    residual_rms is the root-mean-square deviation of the fitted front from
+    the arrival distances.
     """
 
     velocity: float
-    front_offset: float  # d0 in d = velocity * t + d0 (nan in profile-only fits)
+    front_offset: float  # d0 in d = velocity * t + d0
     r_squared: float
     residual_rms: float
     decay_length: float  # nan without profile samples
@@ -182,84 +183,52 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]
 
 
 def fit_lightcone(
-    arrivals: Sequence[ArrivalTime] | None = None,
+    arrivals: Sequence[ArrivalTime],
     profile: Sequence[tuple[float, int, float]] | None = None,
     *,
     prefactor: float = 2.0,
-    min_points: int = 4,
-    min_distance_ratio: float = 2.0,
 ) -> LightConeFit:
-    """Fit the cone from arrival times, bound-profile samples, or both.
+    """Fit the front from arrival times, and the envelope from a profile.
 
     Arrivals give d = velocity * t + offset directly.  Profile samples
-    (t, d, bound_value) give log(bound / prefactor) = log A + (v t - d) / xi;
-    with at least two distinct times the profile identifies its own velocity,
-    with a single time the arrival-fit velocity is required to separate the
-    amplitude from the time shift.
+    (t_ref, d, bound_value) at one time t_ref give
+    log(bound / prefactor) = log A + (velocity t_ref - d) / xi, a line in d
+    whose intercept needs the arrival-fit velocity to separate the amplitude
+    A from the time shift.
     """
-    if arrivals is None and profile is None:
-        raise ValueError("need arrivals, profile samples, or both")
+    n_arrivals = len(arrivals)
+    if n_arrivals < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} arrival points, got {n_arrivals}")
+    ds = np.array([a.d for a in arrivals], dtype=float)
+    ts = np.array([a.time for a in arrivals], dtype=float)
+    if ds.min() <= 0 or ds.max() / ds.min() < MIN_DISTANCE_RATIO:
+        raise ValueError(
+            f"arrival distances must span a ratio >= {MIN_DISTANCE_RATIO}, "
+            f"got [{ds.min():g}, {ds.max():g}]"
+        )
+    velocity, front_offset, r_squared, residual_rms = _line_fit(ts, ds)
 
-    velocity = front_offset = r_squared = residual_rms = math.nan
     decay_length = amplitude = math.nan
-    n_arrivals = n_profile = 0
-
-    if arrivals is not None:
-        n_arrivals = len(arrivals)
-        if n_arrivals < min_points:
-            raise ValueError(f"need at least {min_points} arrival points, got {n_arrivals}")
-        ds = np.array([a.d for a in arrivals], dtype=float)
-        ts = np.array([a.time for a in arrivals], dtype=float)
-        if ds.min() <= 0 or ds.max() / ds.min() < min_distance_ratio:
-            raise ValueError(
-                f"arrival distances must span a ratio >= {min_distance_ratio}, "
-                f"got [{ds.min():g}, {ds.max():g}]"
-            )
-        velocity, front_offset, r_squared, residual_rms = _line_fit(ts, ds)
-
+    n_profile = 0
     if profile is not None:
         n_profile = len(profile)
-        if n_profile < min_points:
-            raise ValueError(f"need at least {min_points} profile points, got {n_profile}")
+        if n_profile < MIN_POINTS:
+            raise ValueError(f"need at least {MIN_POINTS} profile points, got {n_profile}")
         ts_p = np.array([p[0] for p in profile], dtype=float)
         ds_p = np.array([p[1] for p in profile], dtype=float)
         values = np.array([p[2] for p in profile], dtype=float)
         if np.any(values <= 0):
             raise ValueError("profile bound values must be > 0 to fit the envelope")
-        log_b = np.log(values / prefactor)
-        distinct_t = len(np.unique(ts_p))
+        if len(np.unique(ts_p)) != 1:
+            raise ValueError("profile samples must share one time")
         if len(np.unique(ds_p)) < 2:
             raise ValueError("profile needs at least 2 distinct distances")
-        if distinct_t >= 2:
-            design = np.column_stack([np.ones_like(log_b), ts_p, ds_p])
-            coeffs, _, rank, _ = np.linalg.lstsq(design, log_b, rcond=None)
-            if rank < 3:
-                raise ValueError("profile design matrix is rank deficient")
-            c0, c_t, c_d = (float(c) for c in coeffs)
-            if c_d >= 0:
-                raise ValueError("profile does not decay with distance; no cone to fit")
-            decay_length = -1.0 / c_d
-            amplitude = math.exp(c0)
-            profile_velocity = -c_t / c_d
-            if math.isnan(velocity):
-                velocity = profile_velocity
-                predicted = design @ np.array([c0, c_t, c_d])
-                ss_res = float(np.sum((log_b - predicted) ** 2))
-                ss_tot = float(np.sum((log_b - np.mean(log_b)) ** 2))
-                r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-                residual_rms = math.sqrt(ss_res / n_profile)
-        else:
-            if math.isnan(velocity):
-                raise ValueError(
-                    "single-time profile cannot identify a velocity; "
-                    "provide arrivals as well"
-                )
-            slope, intercept, _, _ = _line_fit(ds_p, log_b)
-            if slope >= 0:
-                raise ValueError("profile does not decay with distance; no cone to fit")
-            decay_length = -1.0 / slope
-            # log B = [log A + v t_ref / xi] - d / xi at the single time.
-            amplitude = math.exp(intercept + velocity * float(ts_p[0]) * slope)
+        slope, intercept, _, _ = _line_fit(ds_p, np.log(values / prefactor))
+        if slope >= 0:
+            raise ValueError("profile does not decay with distance; no cone to fit")
+        decay_length = -1.0 / slope
+        # log B = [log A + v t_ref / xi] - d / xi at the single time.
+        amplitude = math.exp(intercept + velocity * float(ts_p[0]) * slope)
 
     return LightConeFit(
         velocity=velocity,
@@ -345,13 +314,7 @@ def extract_velocity(
 def velocity_report_to_json_dict(report: VelocityReport) -> dict:
     return {
         "schema_version": 2,
-        "couplings": {
-            "g": report.couplings.g,
-            "J": report.couplings.J,
-            "origin_norm": report.couplings.origin_norm,
-            "probe_norm": report.couplings.probe_norm,
-            "step_factor": report.couplings.step_factor,
-        },
+        "couplings": report.couplings.to_json_dict(),
         "epsilon": report.epsilon,
         "d_values": list(report.d_values),
         "arrivals": [[a.d, a.time] for a in report.arrivals],

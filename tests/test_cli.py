@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -147,6 +148,24 @@ def test_bound_usage_errors(tmp_path):
     assert run("bound", "--d", "2.5", "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
     for t in ("nan", "inf"):
         assert run("bound", "--t", t, "--d", "2", "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--rel-tol", "nan", "--t", "0.5", "--d", "2"],
+        ["bound", "--rel-tol", "inf", "--t", "0.5", "--d", "2"],
+        ["velocity", "--rel-tol", "nan"],
+        ["velocity", "--epsilon", "nan"],
+        ["velocity", "--epsilon", "inf"],
+    ],
+)
+def test_non_finite_tolerances_exit_1_without_artifact(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    assert run(*argv, "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert "must be finite and > 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -309,6 +328,15 @@ def test_horizon_strict_mode_rejects_crossing(tmp_path):
     assert run(*argv, "--strict") == cli.EXIT_USAGE  # strict refuses D < 2
 
 
+@pytest.mark.parametrize(
+    "flags", [["--tf", "nan"], ["--tf", "inf", "--alpha", "0"], ["--tf", "inf"]]
+)
+def test_horizon_non_finite_tf_exits_1_without_artifact(tmp_path, capsys, flags):
+    assert run("horizon", *flags, "--output", str(tmp_path / "x.csv")) == cli.EXIT_USAGE
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # parser-level exit codes
 # ---------------------------------------------------------------------------
@@ -367,6 +395,24 @@ def test_echoed_config_reproduces_run(tmp_path):
     body1 = out1.read_text().replace(str(out1), "OUT")
     body2 = out2.read_text().replace(str(out2), "OUT")
     assert body1 == body2
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, monkeypatch):
+    # main reuses one parser; a run with flags must not leak them into the
+    # next run, whose artifact must match one parsed by a fresh parser.
+    first, second = tmp_path / "first.json", tmp_path / "second.csv"
+    flagged = ["horizon", "--strict", "--format", "json", "--g", "2", "--Din", "9"]
+    assert run(*flagged, "--output", str(first)) == cli.EXIT_OK
+    assert run("horizon", "--steps", "7", "--output", str(second)) == cli.EXIT_OK
+    fresh = tmp_path / "fresh.csv"
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    assert run("horizon", "--steps", "7", "--output", str(fresh)) == cli.EXIT_OK
+    assert second.read_text().replace("second.csv", "X") == fresh.read_text().replace(
+        "fresh.csv", "X"
+    )
+    echo, _, _ = read_csv(second)
+    assert echo["model"]["mode"] == "toy"
+    assert echo["config"]["couplings"]["g"] == 0.5
 
 
 def test_identical_runs_are_byte_identical_with_sidecar_timestamps(tmp_path):

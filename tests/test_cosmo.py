@@ -190,6 +190,16 @@ def test_horizon_rejects_queries_past_dimension_one():
         horizon_distance(m, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("t_i,t_f", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0)])
+@pytest.mark.parametrize("alpha", [0.0, 0.01])
+def test_horizon_rejects_non_finite_times(t_i, t_f, alpha):
+    m = HorizonModel(D_in=100.0, alpha=alpha, couplings=HALF)
+    with pytest.raises(ValueError, match="must be finite"):
+        horizon_distance(m, t_i, t_f)
+    with pytest.raises(ValueError, match="must be finite"):
+        lightcone_boundary(m, t_i, t_f, 5)
+
+
 # ---------------------------------------------------------------------------
 # Light-cone boundary sampling and CSV export.
 # ---------------------------------------------------------------------------

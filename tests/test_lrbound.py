@@ -14,18 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrcone.lrbound import (
+    TAIL_KAPPA,
     BoundEvaluator,
-    ClosedFormCountSource,
     ConvergenceError,
     Couplings,
-    DEFAULT_KAPPA_GRID,
     DpCountSource,
     best_tail_bound,
     evaluate_bound,
     log_series_term,
     tail_bound,
 )
-from lrcone.pathcount import axis_walk_counts, walk_count_column
+from lrcone.pathcount import axis_walk_counts, count_walks_closed_form, walk_count_column
 
 from reference import exact_bound_series
 
@@ -106,23 +105,31 @@ def test_tail_bound_decreases_with_truncation_order():
 
 def test_tail_bound_truly_dominates_remainder(shared_source):
     # Exact remainder between n_truncate and a much longer horizon must sit
-    # below the certified tail at every grid kappa that is feasible.
+    # below the certified tail.
     t, d = Fraction(3, 2), 3
     long_sum = exact_bound_series(t, d, Fraction(1, 2), Fraction(1, 2), shared_source.count, 120)
     for n_trunc in (20, 30, 40):
         partial = exact_bound_series(t, d, Fraction(1, 2), Fraction(1, 2), shared_source.count, n_trunc)
         remainder = float(long_sum - partial)
         best = best_tail_bound(n_trunc, float(t), d, HALF)
-        assert best.value >= remainder
-        assert best.kappa in DEFAULT_KAPPA_GRID
+        assert best == tail_bound(n_trunc, float(t), d, HALF, TAIL_KAPPA)
+        assert best >= remainder
 
 
-def test_best_tail_bound_is_grid_minimum():
-    n, t, d = 30, 1.5, 5
-    vals = {k: tail_bound(n, t, d, HALF, k) for k in DEFAULT_KAPPA_GRID}
+@given(
+    d=st.integers(min_value=0, max_value=60),
+    extra=st.integers(min_value=-5, max_value=200),
+    t=st.floats(min_value=0.0, max_value=80.0),
+    kappa=st.floats(min_value=TAIL_KAPPA, max_value=2.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_best_tail_bound_is_minimum_over_kappa(d, extra, t, kappa):
+    # Once N >= 2 d - 5 the tail rises with kappa, so no kappa in
+    # [TAIL_KAPPA, 2] certifies less.  The slack covers the rounding of two
+    # separately computed exponentials where the rise is below one ulp.
+    n = max(0, 2 * d + extra)
     best = best_tail_bound(n, t, d, HALF)
-    assert best.value == min(vals.values())
-    assert vals[best.kappa] == best.value
+    assert best <= tail_bound(n, t, d, HALF, kappa) * (1.0 + 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +253,30 @@ def test_dp_source_hard_limit():
 
 
 def test_closed_form_source_diverges_from_dp(shared_source):
-    # Dual-route check: the literal closed form feeds the same evaluator but
-    # yields a different series; the fidelity report in pathcount governs.
-    cf = evaluate_bound(1.0, 2, HALF, source=ClosedFormCountSource(), rel_tol=1e-10)
+    # Dual-route check: the literal closed form, summed exactly through the
+    # same truncation, gives a different series from the one evaluated; the
+    # fidelity report in pathcount governs.
     dp = evaluate_bound(1.0, 2, HALF, source=shared_source, rel_tol=1e-10)
-    assert not math.isclose(cf.value, dp.value, rel_tol=1e-3)
+    half = Fraction(1, 2)
+    cf = exact_bound_series(Fraction(1), 2, half, half, count_walks_closed_form, dp.n_truncate)
+    assert not math.isclose(float(cf), dp.value, rel_tol=1e-3)
 
 
-def test_convergence_error_when_budget_too_small(shared_source):
-    with pytest.raises(ConvergenceError, match="not certified"):
-        evaluate_bound(3.0, 2, HALF, source=shared_source, n_limit=10)
+def test_convergence_error_when_budget_too_small():
+    # The count source's hard_n_limit is the series' only work budget.
+    source = DpCountSource(n_max=4, hard_n_limit=10)
+    with pytest.raises(
+        ConvergenceError, match=r"t = 3\.0, d = 2 not certified before n = 11 .*hard limit 10"
+    ):
+        evaluate_bound(3.0, 2, HALF, source=source)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_evaluate_bound_rejects_bad_rel_tol(rel_tol):
+    source = DpCountSource(n_max=8)
+    with pytest.raises(ValueError, match="rel_tol must be finite and > 0"):
+        evaluate_bound(0.5, 2, HALF, source=source, rel_tol=rel_tol)
+    assert source.n_max == 8
 
 
 @pytest.mark.parametrize(
@@ -300,3 +321,51 @@ def test_bound_structural_invariants(t, d):
 
 
 _HYPOTHESIS_SOURCE = DpCountSource(n_max=64)
+
+
+@given(
+    t_64ths=st.integers(min_value=1, max_value=320),  # t = k / 64 in (0, 5]
+    d=st.integers(min_value=0, max_value=10),
+)
+@settings(max_examples=40, deadline=None)
+def test_certified_tail_dominates_exact_remainder(t_64ths, d):
+    # The remainder past n_truncate, summed exactly over 80 more lengths, is
+    # a lower bound on the true remainder; the certificate must exceed it.
+    t = Fraction(t_64ths, 64)
+    result = evaluate_bound(float(t), d, HALF, source=_HYPOTHESIS_SOURCE)
+    n = result.n_truncate
+    _HYPOTHESIS_SOURCE.ensure(n + 80, d)
+    half = Fraction(1, 2)
+    exact = [
+        exact_bound_series(t, d, half, half, _HYPOTHESIS_SOURCE.count, m) for m in (n, n + 80)
+    ]
+    assert math.isfinite(result.tail)
+    assert result.tail >= float(exact[1] - exact[0])
+
+
+@given(
+    t1=st.floats(min_value=0.0, max_value=60.0),
+    t2=st.floats(min_value=0.0, max_value=60.0),
+    d=st.integers(min_value=0, max_value=30),
+)
+@settings(max_examples=60, deadline=None)
+def test_bound_monotone_in_time_property(t1, t2, d):
+    lo, hi = sorted((t1, t2))
+    assert (
+        evaluate_bound(lo, d, HALF, source=_HYPOTHESIS_SOURCE).value
+        <= evaluate_bound(hi, d, HALF, source=_HYPOTHESIS_SOURCE).value
+    )
+
+
+@given(
+    t_64ths=st.integers(min_value=7, max_value=3200),  # t = k / 64 in [0.11, 50]
+    d=st.integers(min_value=0, max_value=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_bound_is_at_least_the_geodesic_term(t_64ths, d):
+    # The length-2 d geodesic is unique: prefactor (step t)^(2d) (g J)^d / (2d)!,
+    # in exact arithmetic, bounds B from below (up to the value's rounding).
+    t = Fraction(t_64ths, 64)
+    result = evaluate_bound(float(t), d, HALF, source=_HYPOTHESIS_SOURCE)
+    geodesic = 2 * (2 * t * t / 4) ** d / math.factorial(2 * d)
+    assert Fraction(result.value) >= geodesic * (1 - Fraction(1, 10**12))
