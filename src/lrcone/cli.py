@@ -6,7 +6,8 @@ Subcommands: count, bound, velocity, scan-dim, horizon.  Exit codes:
 
 Every output artifact embeds the resolved run configuration
 (schema_version 2) and is byte-identical across reruns; wall-clock metadata
-goes to a ``<output>.meta.json`` sidecar, never into the body.  Every table
+goes to a ``<output>.meta.json`` sidecar, never into the body; the velocity
+sidecar also counts the run's bound evaluations.  Every table
 goes through `write_table`, every JSON document through `_write_json_doc`.
 """
 
@@ -163,8 +164,10 @@ def _write_json_doc(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_sidecar(path: str) -> None:
-    _write_json_doc(path + ".meta.json", {"output": path, "written_at_unix": time.time()})
+def _write_sidecar(path: str, **counters: int) -> None:
+    _write_json_doc(
+        path + ".meta.json", {"output": path, "written_at_unix": time.time(), **counters}
+    )
 
 
 def write_table(path: str, fmt: str, columns: list[str], rows: list[tuple], echo: dict) -> None:
@@ -284,7 +287,7 @@ def cmd_velocity(cfg: RunConfig, args: argparse.Namespace) -> int:
     doc = {**velocity_report_to_json_dict(report), "config": cfg.to_json_dict()}
     path = _output_path(cfg, "velocity")
     _write_json_doc(path, doc)
-    _write_sidecar(path)
+    _write_sidecar(path, evaluations=evaluator.evaluations)
     return EXIT_OK
 
 

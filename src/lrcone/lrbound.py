@@ -21,13 +21,27 @@ valid for every kappa > 0 whenever x < N + 2.  The evaluator certifies the
 tail at the single kappa TAIL_KAPPA and stops once five consecutive terms
 and that tail are both below rel_tol times the running partial sum; the
 count source's hard_n_limit is its only work budget.
+
+The series loop does O(1) work per length n.  The count source keeps the
+t-independent pieces of each column, math.log of the counts and
+math.lgamma(n + 1), so a log-term is four float operations in
+log_series_term's order, n log(step t) + log count + (n/2) log(g J) -
+lgamma(n + 1), exponentiated with math.exp (np.exp differs from it in the
+last bit on a few percent of arguments).  The streak and tail tests read a
+running sum of the terms, with a relative margin far above its rounding;
+only a test inside the margin falls back to math.fsum of the terms, and
+the tail is computed by tail_bound's own expression.  The value is
+2 |P| |Q| times math.fsum of the terms through n_truncate and the tail one
+best_tail_bound(n_truncate, ...), so every result equals the term-by-term
+loop's with an fsum and a tail certificate at every n (kept as
+`tests/reference.scalar_evaluate_bound`) bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
+from array import array
 from dataclasses import asdict, dataclass
 
 from .pathcount import walk_count_column
@@ -47,6 +61,15 @@ TAIL_KAPPA = 1e-3
 
 # The five-term streak of small terms that precedes every tail check.
 CONSECUTIVE_SMALL = 5
+
+# A running sum of m nonnegative terms is within m * 2^-53 (relative) of
+# their exact sum, far inside _MARGIN for any column the count source can
+# build.  Outside [_TINY, _HUGE] a product loses relative precision
+# (subnormals) or the exact sum may leave the float range, so the tests
+# there take math.fsum.
+_MARGIN = 1e-9
+_TINY = 1e-290
+_HUGE = 1e300
 
 
 class ConvergenceError(RuntimeError):
@@ -111,6 +134,10 @@ def log_series_term(n: int, count: int, t: float, couplings: Couplings) -> float
     )
 
 
+def _tail_x(t: float, couplings: Couplings, kappa: float) -> float:
+    return couplings.step_factor * t * math.sqrt(8.0 * couplings.g * couplings.J) * math.exp(kappa)
+
+
 def tail_bound(n_truncate: int, t: float, d: int, couplings: Couplings, kappa: float) -> float:
     """Rigorous bound on the series remainder beyond n_truncate.
 
@@ -123,7 +150,7 @@ def tail_bound(n_truncate: int, t: float, d: int, couplings: Couplings, kappa: f
         raise ValueError(f"n_truncate and d must be >= 0, got {n_truncate}, {d}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    x = couplings.step_factor * t * math.sqrt(8.0 * couplings.g * couplings.J) * math.exp(kappa)
+    x = _tail_x(t, couplings, kappa)
     if x >= n_truncate + 2:
         return math.inf
     if x == 0.0:
@@ -158,8 +185,9 @@ class DpCountSource:
     series evaluated from this source.  The column for distance d is built by
     `walk_count_column` on its first use and rebuilt to the current n_max
     when a longer count is asked for, so a run pays only for the distances it
-    evaluates.  The name dates from when counts came from the grid dynamic
-    program, which is now the test oracle `pathcount.axis_walk_counts`.
+    evaluates; the column's `log_column` pieces are cached with it.  The name
+    dates from when counts came from the grid dynamic program, which is now
+    the test oracle `pathcount.axis_walk_counts`.
     """
 
     def __init__(self, n_max: int = 64, *, hard_n_limit: int = 8192) -> None:
@@ -168,6 +196,7 @@ class DpCountSource:
         self.hard_n_limit = hard_n_limit
         self._n_max = n_max
         self._columns: dict[int, tuple[int, ...]] = {}
+        self._log_columns: dict[int, tuple[array, array]] = {}
 
     @property
     def n_max(self) -> int:
@@ -187,13 +216,33 @@ class DpCountSource:
             target = self.hard_n_limit
         self._n_max = target
 
-    def count(self, n: int, d: int) -> int:
+    def _column(self, n: int, d: int) -> tuple[int, ...]:
         if not (0 <= n <= self._n_max):
             raise ValueError(f"n = {n} outside the computed range [0, {self._n_max}]")
         column = self._columns.get(d)
         if column is None or n >= len(column):
             column = self._columns[d] = walk_count_column(d, self._n_max)
-        return column[n]
+            self._log_columns.pop(d, None)
+        return column
+
+    def count(self, n: int, d: int) -> int:
+        return self._column(n, d)[n]
+
+    def log_column(self, n: int, d: int) -> tuple[array, array]:
+        """The column for d, covering at least length n, as its log pieces.
+
+        Returns (log_count, log_factorial): math.log of each count (-inf
+        where it is 0) and math.lgamma(m + 1) for m up to one past the
+        column's last length.
+        """
+        column = self._column(n, d)
+        pieces = self._log_columns.get(d)
+        if pieces is None:
+            pieces = self._log_columns[d] = (
+                array("d", [math.log(c) if c else -math.inf for c in column]),
+                array("d", [math.lgamma(m + 1) for m in range(len(column) + 1)]),
+            )
+        return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +290,17 @@ def evaluate_bound(
     if source is None:
         source = DpCountSource()
 
-    terms: list[float] = []
+    prefactor = couplings.prefactor
+    rel_bound = rel_tol * prefactor
+    x = _tail_x(t, couplings, TAIL_KAPPA)
+    log_x = math.log(x) if x > 0.0 else -math.inf
+    log_tail_base = math.log(2.0 * prefactor) + TAIL_KAPPA * (4.0 - 2.0 * d)
+    log_step_t = log_gj = None  # taken at the first nonzero count, as the loop took them
+    terms: list[float] = []  # the nonzero-count terms; the zeros add nothing to a sum
+    running = 0.0
     streak = 0
-    for n in itertools.count():
+    n = 0
+    while True:
         try:
             source.ensure(n, d)
         except ConvergenceError as exc:
@@ -251,36 +308,90 @@ def evaluate_bound(
                 f"series for t = {t}, d = {d} not certified before n = {n} "
                 f"(rel_tol = {rel_tol}): {exc}"
             ) from None
-        log_term = log_series_term(n, source.count(n, d), t, couplings)
-        try:
-            term = 0.0 if log_term == -math.inf else math.exp(log_term)
-            terms.append(term)
+        log_counts, log_factorial = source.log_column(n, d)
+        for n in range(n, len(log_counts)):
+            term = 0.0
+            if log_counts[n] != -math.inf:
+                if t == 0.0:
+                    term = 1.0 if n == 0 else 0.0
+                else:
+                    if log_step_t is None:
+                        log_step_t = math.log(couplings.step_factor * t)
+                        log_gj = math.log(couplings.g * couplings.J)
+                    log_term = n * log_step_t + log_counts[n] + 0.5 * n * log_gj - log_factorial[n]
+                    try:
+                        term = math.exp(log_term)
+                    except OverflowError:
+                        raise _float_range_error(t, d, n) from None
+                terms.append(term)
+                running += term
+            # Streak test, term <= rel_tol * partial sum.
+            if term != 0.0:
+                scaled = rel_tol * running
+                if (
+                    _TINY <= scaled <= _HUGE
+                    and running <= _HUGE
+                    and not scaled * (1.0 - _MARGIN) < term <= scaled * (1.0 + _MARGIN)
+                ):
+                    small = term <= scaled
+                else:
+                    try:
+                        small = term <= rel_tol * math.fsum(terms)
+                    except OverflowError:
+                        raise _float_range_error(t, d, n) from None
+                if not small:
+                    streak = 0
+                    continue
+            streak += 1
+            if streak < CONSECUTIVE_SMALL:
+                continue
+            # Tail test, tail <= rel_tol * prefactor * partial sum, with the
+            # tail by tail_bound's expression; a tail clear of the running
+            # bound fails, any other is tried exactly.
+            if x >= n + 2:
+                tail = math.inf
+            elif x == 0.0:
+                tail = 0.0
+            else:
+                log_tail = (
+                    log_tail_base
+                    + (n + 1) * log_x
+                    - log_factorial[n + 1]
+                    - math.log1p(-x / (n + 2))
+                )
+                tail = math.inf if log_tail > 700.0 else math.exp(log_tail)
+            bound = rel_bound * running
+            if bound <= _HUGE and tail > max(bound, _TINY) * (1.0 + _MARGIN):
+                continue
             partial = math.fsum(terms)
-        except OverflowError:
-            break
-        streak = streak + 1 if term <= rel_tol * partial else 0
-        if streak >= CONSECUTIVE_SMALL:
-            # tail_bound carries the full 4 |P| |Q| prefactor, so compare it
-            # against the prefactored partial sum.
             tail = best_tail_bound(n, t, d, couplings)
-            if tail <= rel_tol * couplings.prefactor * partial:
-                value = couplings.prefactor * partial
+            if tail <= rel_bound * partial:
+                value = prefactor * partial
                 if not math.isfinite(value):
-                    break
+                    raise _float_range_error(t, d, n)
                 return BoundSeriesResult(t=t, d=d, value=value, n_truncate=n, tail=tail)
-    raise ConvergenceError(
+        n = len(log_counts)
+
+
+def _float_range_error(t: float, d: int, n: int) -> ConvergenceError:
+    return ConvergenceError(
         f"series for t = {t}, d = {d} exceeds the float range "
         f"(max {sys.float_info.max:.6g}) at n = {n}"
     )
 
 
 class BoundEvaluator:
-    """Reusable evaluator sharing one count source across many (t, d) calls."""
+    """Reusable evaluator sharing one count source across many (t, d) calls.
+
+    `evaluations` counts the evaluate calls made so far.
+    """
 
     def __init__(self, couplings: Couplings, *, source=None, rel_tol: float = 1e-10) -> None:
         self.couplings = couplings
         self.source = source if source is not None else DpCountSource()
         self.rel_tol = rel_tol
+        self.evaluations = 0
 
     def evaluate(self, t: float, d: int) -> BoundSeriesResult:
+        self.evaluations += 1
         return evaluate_bound(t, d, self.couplings, source=self.source, rel_tol=self.rel_tol)

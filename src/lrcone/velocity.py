@@ -5,9 +5,10 @@ d / t = step * sqrt(8 g J) * exp(kappa) / (2 kappa) for every kappa > 0;
 minimising exp(kappa) / kappa (optimum kappa = 1, value e) yields the
 certified velocity step * e * sqrt(2 g J).
 
-Numeric route: for each separation d, bisect for the arrival time t*(d)
-where B(t, d) first reaches a threshold epsilon, then fit the front
-d = velocity * t* + offset by least squares.  Optionally a profile of
+Numeric route: for each separation d, find the arrival time t*(d) where
+B(t, d) first reaches a threshold epsilon (the answer a plain bisection
+gives, reached by a secant and a replay of that bisection), then fit the
+front d = velocity * t* + offset by least squares.  Optionally a profile of
 bound values at one time, log B = log A + (velocity * t - d) / decay_length,
 gives the decay length and amplitude of the envelope at the fitted velocity.
 """
@@ -94,6 +95,14 @@ def geodesic_bracket_time(d: int, epsilon: float, couplings: Couplings) -> float
     return math.exp(log_t) / (couplings.step_factor * math.sqrt(couplings.g * couplings.J))
 
 
+# The secant stops once evaluated times a < b bracket the threshold with
+# b / a - 1 <= _BRACKET_REL; the replayed bisection then evaluates only the
+# midpoints within _REPLAY_MARGIN (relative) of [a, b].
+_BRACKET_REL = 1e-13
+_REPLAY_MARGIN = 1e-12
+_MAX_SECANT_STEPS = 60
+
+
 def arrival_time(
     d: int,
     epsilon: float,
@@ -102,18 +111,31 @@ def arrival_time(
     time_rel_tol: float = 1e-10,
     max_expansions: int = 80,
 ) -> ArrivalTime:
-    """Bisect for the first time B(t, d) reaches epsilon.
+    """The first time B(t, d) reaches epsilon, as bisection defines it.
 
-    The initial bracket is [0, geodesic_bracket_time]; the upper end is
-    expanded geometrically in the (numerically unlikely) case the evaluated
-    bound still sits below epsilon there.
+    The answer is the bisection's: from the bracket [0, t_hi], with t_hi the
+    geodesic_bracket_time expanded by 1.5 while the evaluated bound there is
+    still below epsilon, halve until the bracket is narrower than
+    time_rel_tol * t_hi and report its midpoint and the bound there.
+
+    It is reached with few evaluations in two steps.  A safeguarded secant
+    in (log t, log B), using only the evaluated values, first finds two
+    evaluated times a < b with B(a) < epsilon <= B(b) and
+    b / a - 1 <= 1e-13.  The bisection is then replayed with its own
+    arithmetic: a midpoint >= b (1 + 1e-12) goes high, one <= a (1 - 1e-12)
+    goes low, and only a midpoint between the two is evaluated.  The replay
+    is exact because the evaluated B is nondecreasing in t: in exact
+    arithmetic term_n / partial_n and tail_n / partial_n both rise with t,
+    so n_truncate never falls as t grows, and the 1e-12 margin is about a
+    hundred times the rounding noise of an evaluation.  `evaluations`
+    counts every evaluate call, the final one at the reported time included.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    if time_rel_tol <= 0:
-        raise ValueError(f"time_rel_tol must be > 0, got {time_rel_tol}")
+    if not (time_rel_tol > 0 and math.isfinite(time_rel_tol)):
+        raise ValueError(f"time_rel_tol must be finite and > 0, got {time_rel_tol}")
 
     couplings = evaluator.couplings
     t_hi = geodesic_bracket_time(d, epsilon, couplings)
@@ -130,11 +152,20 @@ def arrival_time(
         value_hi = evaluator.evaluate(t_hi, d).value
         evaluations += 1
 
+    a, b, steps = _secant_bracket(d, epsilon, evaluator, t_hi, value_hi)
+    evaluations += steps
+
     t_lo = 0.0
     while t_hi - t_lo > time_rel_tol * t_hi:
         mid = 0.5 * (t_lo + t_hi)
-        evaluations += 1
-        if evaluator.evaluate(mid, d).value >= epsilon:
+        if mid >= b * (1.0 + _REPLAY_MARGIN):
+            reached = True
+        elif mid <= a * (1.0 - _REPLAY_MARGIN):
+            reached = False
+        else:
+            evaluations += 1
+            reached = evaluator.evaluate(mid, d).value >= epsilon
+        if reached:
             t_hi = mid
         else:
             t_lo = mid
@@ -147,6 +178,53 @@ def arrival_time(
         bound_value=final.value,
         evaluations=evaluations + 1,
     )
+
+
+def _secant_bracket(
+    d: int, epsilon: float, evaluator: BoundEvaluator, t_hi: float, value_hi: float
+) -> tuple[float, float, int]:
+    """Evaluated times a < b with B(a) < epsilon <= B(b), and the evaluations made.
+
+    Regula falsi on f = log B - log epsilon over log t, with the Illinois
+    halving of a retained end's f so that both ends close in; a step lands
+    at least 0.4 * 1e-13 (relative) inside the bracket, so it overshoots the
+    threshold once the estimate sits that close to an end.  Until a time
+    with 0 < B < epsilon is known, the step is the power law from b:
+    B(t) / t^(2 d) rises with t (every term has n >= 2 d), so
+    t = b (epsilon / B(b))^(1 / 2d) has B <= epsilon in exact arithmetic.
+    Stops at b / a - 1 <= 1e-13, or after _MAX_SECANT_STEPS with a wider
+    bracket, which the replay then narrows by evaluating.
+    """
+    log_eps = math.log(epsilon)
+    a, f_a = 0.0, -math.inf
+    b, f_b = t_hi, math.log(value_hi) - log_eps
+    retained = 0  # +1 when b was kept on the last step, -1 when a was
+    steps = 0
+    while not (a > 0.0 and b / a - 1.0 <= _BRACKET_REL) and steps < _MAX_SECANT_STEPS:
+        if f_a == -math.inf:
+            t = b * math.exp(-f_b / (2 * d))
+        elif f_b > f_a:
+            log_a, log_b = math.log(a), math.log(b)
+            t = math.exp(log_b - f_b * (log_b - log_a) / (f_b - f_a))
+        else:  # log B rounded flat across the bracket
+            t = math.sqrt(a * b)
+        inset = 0.4 * _BRACKET_REL
+        t = min(max(t, a * (1.0 + inset)), b * (1.0 - inset))
+        if not a < t < b:
+            t = 0.5 * (a + b)
+        value = evaluator.evaluate(t, d).value
+        steps += 1
+        if value >= epsilon:
+            b, f_b = t, math.log(value) - log_eps
+            if retained == -1:
+                f_a *= 0.5
+            retained = -1
+        else:
+            a, f_a = t, (math.log(value) - log_eps if value > 0.0 else -math.inf)
+            if retained == 1:
+                f_b *= 0.5
+            retained = 1
+    return a, b, steps
 
 
 # ---------------------------------------------------------------------------

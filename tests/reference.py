@@ -16,9 +16,19 @@ counts, no series and no code from the implementation under test.
 `horizon_radius_quadrature` integrates the shrinking-dimension velocity by
 composite Gauss-Legendre quadrature, with numpy's nodes and no
 antiderivative, so it shares nothing with the closed form under test.
+
+`scalar_evaluate_bound` and `bisect_arrival_time` are the series loop with
+an fsum and a tail certificate at every term, and the plain arrival
+bisection, that `lrcone` used before its O(1)-per-term loop and its secant
+replay.  They share the building blocks (log_series_term, best_tail_bound,
+the count source) with the code under test, and must give its results bit
+for bit.  They import `lrcone` only when called, so loading this module for
+`exact_bound_series` stays cheap.
 """
 
+import itertools
 import math
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -154,3 +164,94 @@ def horizon_radius_quadrature(
             width += b - a
         mean = total / width
     return step * (math.e / 2.0) * math.sqrt(g * J) * mean * (t_stop - t_i)
+
+
+def scalar_evaluate_bound(t, d, couplings, *, source=None, rel_tol=1e-10):
+    """The per-term series loop of `lrbound.evaluate_bound`, verbatim.
+
+    One log-term, one math.exp and one math.fsum of the growing term list
+    per walk length, and a tail certificate at every n past the streak.
+    """
+    from lrcone.lrbound import (
+        CONSECUTIVE_SMALL,
+        BoundSeriesResult,
+        ConvergenceError,
+        DpCountSource,
+        best_tail_bound,
+        log_series_term,
+    )
+
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
+    if not (rel_tol > 0 and math.isfinite(rel_tol)):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
+    if source is None:
+        source = DpCountSource()
+
+    terms: list[float] = []
+    streak = 0
+    for n in itertools.count():
+        try:
+            source.ensure(n, d)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"series for t = {t}, d = {d} not certified before n = {n} "
+                f"(rel_tol = {rel_tol}): {exc}"
+            ) from None
+        log_term = log_series_term(n, source.count(n, d), t, couplings)
+        try:
+            term = 0.0 if log_term == -math.inf else math.exp(log_term)
+            terms.append(term)
+            partial = math.fsum(terms)
+        except OverflowError:
+            break
+        streak = streak + 1 if term <= rel_tol * partial else 0
+        if streak >= CONSECUTIVE_SMALL:
+            # tail_bound carries the full 4 |P| |Q| prefactor, so compare it
+            # against the prefactored partial sum.
+            tail = best_tail_bound(n, t, d, couplings)
+            if tail <= rel_tol * couplings.prefactor * partial:
+                value = couplings.prefactor * partial
+                if not math.isfinite(value):
+                    break
+                return BoundSeriesResult(t=t, d=d, value=value, n_truncate=n, tail=tail)
+    raise ConvergenceError(
+        f"series for t = {t}, d = {d} exceeds the float range "
+        f"(max {sys.float_info.max:.6g}) at n = {n}"
+    )
+
+
+def bisect_arrival_time(d, epsilon, evaluator, *, time_rel_tol=1e-10, max_expansions=80):
+    """Plain bisection for the first time B(t, d) reaches epsilon.
+
+    Bracket [0, geodesic_bracket_time], its upper end grown by 1.5 while the
+    bound there is below epsilon; then halve until the bracket is narrower
+    than time_rel_tol times its upper end and report the midpoint.  Returns
+    (time, bound value at that time, evaluations).
+    """
+    from lrcone.velocity import ThresholdUnreachableError, geodesic_bracket_time
+
+    t_hi = geodesic_bracket_time(d, epsilon, evaluator.couplings)
+    evaluations = 1
+    value_hi = evaluator.evaluate(t_hi, d).value
+    expansions = 0
+    while value_hi < epsilon:
+        expansions += 1
+        if expansions > max_expansions:
+            raise ThresholdUnreachableError(f"no time with B(t, {d}) >= {epsilon} up to {t_hi}")
+        t_hi *= 1.5
+        value_hi = evaluator.evaluate(t_hi, d).value
+        evaluations += 1
+
+    t_lo = 0.0
+    while t_hi - t_lo > time_rel_tol * t_hi:
+        mid = 0.5 * (t_lo + t_hi)
+        evaluations += 1
+        if evaluator.evaluate(mid, d).value >= epsilon:
+            t_hi = mid
+        else:
+            t_lo = mid
+    t_star = 0.5 * (t_lo + t_hi)
+    return t_star, evaluator.evaluate(t_star, d).value, evaluations + 1

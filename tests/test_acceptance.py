@@ -113,6 +113,12 @@ def test_criterion_2_kappa_optimum():
     assert err_objective <= 1e-9
 
 
+def test_headline_arrivals_take_at_most_16_evaluations(headline_report):
+    # A work-count guard on the arrival search (the plain bisection took 37
+    # per arrival), not a timing test.
+    assert all(a.evaluations <= 16 for a in headline_report.arrivals)
+
+
 def test_criterion_3_coupling_scaling_ratio(shared_source, headline_report):
     """Quadrupling both couplings should quadruple the fitted velocity."""
     strong = Couplings(g=2.0, J=2.0)

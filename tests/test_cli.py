@@ -190,13 +190,19 @@ def test_velocity_report_matches_library(tmp_path):
     assert doc["config"]["couplings"]["g"] == 0.5
 
     couplings = Couplings(g=0.5, J=0.5)
+    ref_evaluator = BoundEvaluator(couplings, source=DpCountSource(n_max=80))
     ref = extract_velocity(
         couplings,
         d_values=[4, 6, 8, 10],
         epsilon=1e-6,
-        evaluator=BoundEvaluator(couplings, source=DpCountSource(n_max=80)),
+        evaluator=ref_evaluator,
         include_profile=True,
     )
+    # The sidecar counts every evaluate call: the arrivals' and the profile's.
+    meta = json.loads((tmp_path / "vel.json.meta.json").read_text())
+    assert meta["output"] == str(out)
+    assert meta["evaluations"] == ref_evaluator.evaluations
+    assert meta["evaluations"] == sum(a.evaluations for a in ref.arrivals) + 4
     assert doc["fit"]["v"] == pytest.approx(ref.fit.velocity, rel=1e-12)
     assert doc["fit"]["xi"] == pytest.approx(ref.fit.decay_length, rel=1e-12)
     assert doc["kappa"]["kappa_star"] == 1.0

@@ -6,11 +6,12 @@ no logs or floats, versus the implementation's log-space fsum.
 """
 
 import math
+import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrcone.lrbound import (
@@ -26,7 +27,7 @@ from lrcone.lrbound import (
 )
 from lrcone.pathcount import axis_walk_counts, count_walks_closed_form, walk_count_column
 
-from reference import exact_bound_series
+from reference import exact_bound_series, scalar_evaluate_bound
 
 HALF = Couplings(g=0.5, J=0.5)
 
@@ -369,3 +370,98 @@ def test_bound_is_at_least_the_geodesic_term(t_64ths, d):
     result = evaluate_bound(float(t), d, HALF, source=_HYPOTHESIS_SOURCE)
     geodesic = 2 * (2 * t * t / 4) ** d / math.factorial(2 * d)
     assert Fraction(result.value) >= geodesic * (1 - Fraction(1, 10**12))
+
+
+# ---------------------------------------------------------------------------
+# evaluate_bound against the term-by-term loop it replaced.
+# ---------------------------------------------------------------------------
+
+ORACLE_COUPLINGS = (HALF, Couplings(g=1.3, J=0.4, origin_norm=2.5, probe_norm=0.3, step_factor=1.0))
+
+
+def _outcome(evaluate, t, d, couplings, source, rel_tol):
+    """The result, or the type and message of the exception raised."""
+    try:
+        return evaluate(t, d, couplings, source=source, rel_tol=rel_tol)
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_scalar_loop(t, d, couplings, rel_tol, source, scalar_source):
+    result = _outcome(evaluate_bound, t, d, couplings, source, rel_tol)
+    scalar = _outcome(scalar_evaluate_bound, t, d, couplings, scalar_source, rel_tol)
+    # Field for field (value, n_truncate, tail), or the same exception.
+    assert result == scalar, (t, d, couplings, rel_tol)
+    assert source.n_max == scalar_source.n_max
+
+
+@pytest.mark.parametrize("couplings", ORACLE_COUPLINGS)
+@pytest.mark.parametrize(
+    "t,d,rel_tol",
+    [
+        (1e-12, 12, 1e-10),  # a subnormal value, 7.9e-316 at g = J = 1/2
+        (400.0, 100, 1e-10),  # a term leaves the float range: ConvergenceError, not OverflowError
+        (400.0, 2, 1e-10),
+        (0.0, 0, 1e-10),
+        (1e-300, 0, 1e-10),
+        # rel_tol * partial sum below the normal range: the streak test is
+        # decided by math.fsum, not by the running sum.
+        (1 / 64, 42, 1e-12),
+    ],
+)
+def test_evaluate_bound_matches_scalar_loop_at_edge_cells(t, d, rel_tol, couplings):
+    _assert_matches_scalar_loop(t, d, couplings, rel_tol, DpCountSource(), DpCountSource())
+
+
+@pytest.mark.parametrize("t", [358.875, 359.5])
+def test_partial_sum_past_float_range_matches_scalar_loop(t):
+    # With a tiny prefactor the partial sum leaves the float range (math.fsum
+    # overflows) before any single term does.
+    tiny_prefactor = Couplings(g=0.5, J=0.5, origin_norm=1e-200)
+    _assert_matches_scalar_loop(t, 2, tiny_prefactor, 1e-10, DpCountSource(), DpCountSource())
+    with pytest.raises(ConvergenceError, match="float range"):
+        evaluate_bound(t, 2, tiny_prefactor)
+
+
+def test_edge_cells_take_the_expected_branches():
+    tiny = evaluate_bound(1e-12, 12, HALF)
+    assert 0.0 < tiny.value < sys.float_info.min
+    with pytest.raises(ConvergenceError, match="float range"):
+        evaluate_bound(400.0, 100, HALF)
+
+
+@given(
+    t=st.one_of(
+        st.integers(min_value=0, max_value=400 * 64).map(lambda k: k / 64),
+        st.sampled_from([0.0, 1e-300, 1e-12]),
+    ),
+    d=st.integers(min_value=0, max_value=300),
+    rel_tol=st.sampled_from([1e-12, 1e-10, 1e-6]),
+    couplings=st.sampled_from(ORACLE_COUPLINGS),
+)
+@example(t=1e-12, d=12, rel_tol=1e-10, couplings=HALF)
+@example(t=400.0, d=100, rel_tol=1e-10, couplings=HALF)
+@settings(max_examples=100, deadline=None)
+def test_evaluate_bound_matches_scalar_loop(t, d, rel_tol, couplings):
+    # Fresh sources: both sides must also grow the count table alike.
+    _assert_matches_scalar_loop(t, d, couplings, rel_tol, DpCountSource(), DpCountSource())
+
+
+# t in {0, 1e-300, 1e-12, 1e-8, ..., 400} times d in {0, ..., 300}: 24 x 23
+# cells for each of the two coupling sets, 1104 in all.
+_GRID_TIMES = (
+    0.0, 1e-300, 1e-12, 1e-8, 1e-6, 5e-6, 1e-5, 1e-3, 0.01, 0.1, 0.5, 1.0,
+    2.0, 5.0, 10.0, 20.0, 37.3, 50.0, 69.9, 100.0, 150.0, 200.0, 300.0, 400.0,
+)
+_GRID_DISTANCES = (
+    0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 25, 30, 40, 50, 60, 80, 100, 150, 200, 250, 300,
+)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("couplings", ORACLE_COUPLINGS)
+def test_evaluate_bound_matches_scalar_loop_on_full_grid(couplings):
+    source, scalar_source = DpCountSource(), DpCountSource()
+    for d in _GRID_DISTANCES:
+        for t in _GRID_TIMES:
+            _assert_matches_scalar_loop(t, d, couplings, 1e-10, source, scalar_source)

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrcone.lrbound import BoundEvaluator, Couplings, DpCountSource
 from lrcone.velocity import (
@@ -21,6 +23,8 @@ from lrcone.velocity import (
     optimize_kappa,
     velocity_report_to_json_dict,
 )
+
+from reference import bisect_arrival_time
 
 HALF = Couplings(g=0.5, J=0.5)
 
@@ -127,6 +131,42 @@ def test_arrival_time_validation(evaluator):
             geodesic_bracket_time(3, epsilon, HALF)
     with pytest.raises(ValueError, match="time_rel_tol"):
         arrival_time(3, 1e-6, evaluator, time_rel_tol=0.0)
+    # A NaN tolerance used to skip the bisection and report t = 3.126 with
+    # B = 8.7e-16 at d = 12, eps = 1e-8 as if converged.
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="time_rel_tol must be finite and > 0"):
+            arrival_time(12, 1e-8, evaluator, time_rel_tol=tol)
+        with pytest.raises(ValueError, match="time_rel_tol must be finite and > 0"):
+            extract_velocity(
+                HALF, d_values=[4, 6, 8, 12], epsilon=1e-8, evaluator=evaluator, time_rel_tol=tol
+            )
+
+
+_ORACLE_COUPLINGS = (HALF, Couplings(g=1.3, J=0.4, origin_norm=2.5, probe_norm=0.3, step_factor=1.0))
+_ORACLE_EVALUATORS = [BoundEvaluator(c, source=DpCountSource(n_max=128)) for c in _ORACLE_COUPLINGS]
+
+
+@given(
+    d=st.integers(min_value=1, max_value=40),
+    log10_eps=st.floats(min_value=-12.0, max_value=-2.0),
+    which=st.sampled_from([0, 1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_arrival_time_replays_plain_bisection(d, log10_eps, which):
+    # The secant and the replayed bisection give the plain bisection's time
+    # and bound value bit for bit, with fewer evaluations.
+    evaluator = _ORACLE_EVALUATORS[which]
+    epsilon = 10.0**log10_eps
+    arrival = arrival_time(d, epsilon, evaluator)
+    time, value, bisect_evaluations = bisect_arrival_time(d, epsilon, evaluator)
+    assert (arrival.time, arrival.bound_value) == (time, value)
+    assert arrival.evaluations < bisect_evaluations
+
+
+def test_arrival_time_counts_every_evaluation():
+    ev = BoundEvaluator(HALF, source=DpCountSource(n_max=128))
+    a = arrival_time(12, 1e-8, ev)
+    assert a.evaluations == ev.evaluations
 
 
 # ---------------------------------------------------------------------------
