@@ -6,7 +6,7 @@ perpendicular family, graph distance 2 d on the decorated graph), the bound is
     B(t, d) = 2 |P| |Q| * sum over n >= 0 of (step * t)^n / n! * a_n,
     a_n     = walks(n, d) * (g J)^(n/2),
 
-where walks(n, d) is the exact count from `pathcount.walk_count_column` (the
+where walks(n, d) is the exact count from `pathcount.extend_walk_counts` (the
 per-distance closed form on the Lieb lattice, tested against the lattice
 dynamic program) and step is the per-step weight factor (sqrt(2) by
 default).  Terms are evaluated in log space so that huge integer counts and
@@ -22,8 +22,8 @@ tail at the single kappa TAIL_KAPPA and stops once five consecutive terms
 and that tail are both below rel_tol times the running partial sum; the
 count source's hard_n_limit is its only work budget.
 
-The series loop does O(1) work per length n.  The count source keeps the
-t-independent pieces of each column, math.log of the counts and
+The series loop does O(1) work per length n.  The count source grows each
+column in place with its t-independent pieces, math.log of the counts and
 math.lgamma(n + 1), so a log-term is four float operations in
 log_series_term's order, n log(step t) + log count + (n/2) log(g J) -
 lgamma(n + 1), exponentiated with math.exp (np.exp differs from it in the
@@ -44,7 +44,7 @@ import sys
 from array import array
 from dataclasses import asdict, dataclass
 
-from .pathcount import walk_count_column
+from .pathcount import extend_walk_counts
 
 # Not used here; perfbench's traced run (--trace 1) patches this attribute.
 from .pathcount import axis_walk_counts  # noqa: F401
@@ -61,6 +61,9 @@ TAIL_KAPPA = 1e-3
 
 # The five-term streak of small terms that precedes every tail check.
 CONSECUTIVE_SMALL = 5
+
+# Lengths a series' column is grown past the one it asked for.
+COLUMN_STEP = 16
 
 # A running sum of m nonnegative terms is within m * 2^-53 (relative) of
 # their exact sum, far inside _MARGIN for any column the count source can
@@ -178,16 +181,13 @@ def best_tail_bound(n_truncate: int, t: float, d: int, couplings: Couplings) -> 
 
 
 class DpCountSource:
-    """Exact walk counts, one lazily built closed-form column per distance.
+    """Exact walk counts, one closed-form column per distance, grown in place.
 
-    `n_max` is the walk length every count is served to; requests beyond it
-    double it, up to `hard_n_limit`, which is also the work budget of every
-    series evaluated from this source.  The column for distance d is built by
-    `walk_count_column` on its first use and rebuilt to the current n_max
-    when a longer count is asked for, so a run pays only for the distances it
-    evaluates; the column's `log_column` pieces are cached with it.  The name
-    dates from when counts came from the grid dynamic program, which is now
-    the test oracle `pathcount.axis_walk_counts`.
+    `ensure` raises `n_max`, the walk length every count is served to, to the
+    length asked for, up to `hard_n_limit`, the work budget of every series
+    evaluated from this source.  Each column and math.log of its counts grow
+    by `extend_walk_counts` only to the lengths read.  The name dates from the
+    grid dynamic program, now the test oracle `pathcount.axis_walk_counts`.
     """
 
     def __init__(self, n_max: int = 64, *, hard_n_limit: int = 8192) -> None:
@@ -195,8 +195,9 @@ class DpCountSource:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.hard_n_limit = hard_n_limit
         self._n_max = n_max
-        self._columns: dict[int, tuple[int, ...]] = {}
-        self._log_columns: dict[int, tuple[array, array]] = {}
+        # d -> (counts, antidiagonal edge, math.log of the counts read so far)
+        self._columns: dict[int, tuple[list[int], list[int], array]] = {}
+        self._log_factorial = array("d")
 
     @property
     def n_max(self) -> int:
@@ -204,45 +205,39 @@ class DpCountSource:
 
     def ensure(self, n: int, d: int) -> None:
         needed = max(n, 2 * d)
-        if needed <= self._n_max:
-            return
-        target = max(needed, 2 * self._n_max, 64)
-        if target > self.hard_n_limit:
-            if needed > self.hard_n_limit:
-                raise ConvergenceError(
-                    f"count table would need n_max = {needed} > hard limit "
-                    f"{self.hard_n_limit}"
-                )
-            target = self.hard_n_limit
-        self._n_max = target
+        if needed > self.hard_n_limit:
+            raise ConvergenceError(
+                f"count table would need n_max = {needed} > hard limit {self.hard_n_limit}"
+            )
+        self._n_max = max(self._n_max, needed)
 
-    def _column(self, n: int, d: int) -> tuple[int, ...]:
+    def _column(self, n: int, d: int, reach: int) -> tuple[list[int], list[int], array]:
         if not (0 <= n <= self._n_max):
             raise ValueError(f"n = {n} outside the computed range [0, {self._n_max}]")
         column = self._columns.get(d)
-        if column is None or n >= len(column):
-            column = self._columns[d] = walk_count_column(d, self._n_max)
-            self._log_columns.pop(d, None)
+        if column is None:
+            column = self._columns[d] = ([], [], array("d"))
+        if n >= len(column[0]):
+            extend_walk_counts(column[0], column[1], d, reach)
         return column
 
     def count(self, n: int, d: int) -> int:
-        return self._column(n, d)[n]
+        return self._column(n, d, n)[0][n]
 
     def log_column(self, n: int, d: int) -> tuple[array, array]:
         """The column for d, covering at least length n, as its log pieces.
 
-        Returns (log_count, log_factorial): math.log of each count (-inf
-        where it is 0) and math.lgamma(m + 1) for m up to one past the
-        column's last length.
+        math.log of each count (-inf where 0) and math.lgamma(m + 1) for m up
+        to one past the column's last length.  A column too short for n grows
+        COLUMN_STEP past it, within hard_n_limit, and n_max with it.
         """
-        column = self._column(n, d)
-        pieces = self._log_columns.get(d)
-        if pieces is None:
-            pieces = self._log_columns[d] = (
-                array("d", [math.log(c) if c else -math.inf for c in column]),
-                array("d", [math.lgamma(m + 1) for m in range(len(column) + 1)]),
-            )
-        return pieces
+        reach = max(n, min(n + COLUMN_STEP, self.hard_n_limit))
+        counts, _, log_counts = self._column(n, d, reach)
+        self._n_max = max(self._n_max, len(counts) - 1)
+        log_counts.extend(math.log(c) if c else -math.inf for c in counts[len(log_counts) :])
+        log_factorial = self._log_factorial
+        log_factorial.extend(math.lgamma(m + 1) for m in range(len(log_factorial), len(counts) + 1))
+        return log_counts, log_factorial
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +280,8 @@ def evaluate_bound(
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    if not (rel_tol > 0 and math.isfinite(rel_tol)):
-        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
+    if not 0 < rel_tol < 1:
+        raise ValueError(f"rel_tol must be finite and > 0 and < 1, got {rel_tol}")
     if source is None:
         source = DpCountSource()
 

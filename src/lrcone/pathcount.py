@@ -3,11 +3,11 @@
 A walk of length n is any sequence of n unit steps on G'; revisits are
 allowed.  Three count sources exist:
 
-* `walk_count_column`, the exact per-distance closed form on the Lieb lattice
-  for same-orientation link pairs separated by d grid steps perpendicular to
-  the link axis (the canonical pair family, whose G' distance is exactly
-  2 d).  It is canonical: the bound series in `lrbound` takes its counts from
-  it, one column per distance.
+* `extend_walk_counts`, the exact per-distance closed form on the Lieb lattice
+  for same-orientation link pairs d grid steps apart perpendicular to the
+  link axis (the canonical pair family, G' distance exactly 2 d).  It is
+  canonical: it grows each count column of the bound series in `lrbound` in
+  place, and `walk_count_column` builds a column with it in one go.
 * the neighbor-sum dynamic program
 
       counts(n + 1, v) = sum over u adjacent to v of counts(n, u)
@@ -291,8 +291,8 @@ def _comb_or_zero(m: int, doubled_lower: int) -> int:
     return math.comb(m, k)
 
 
-def walk_count_column(d: int, n_max: int) -> tuple[int, ...]:
-    """Exact canonical-pair counts N(n, d) for n = 0 .. n_max.
+def extend_walk_counts(counts: list[int], edge: list[int], d: int, n_max: int) -> None:
+    """Extend `counts` in place to the canonical-pair counts N(n, d), n <= n_max.
 
     On the Lieb lattice G' a link -> plaquette -> link step acts on the
     plaquettes as T = 4 I + A_square, and square-lattice walks factor in
@@ -302,28 +302,33 @@ def walk_count_column(d: int, n_max: int) -> tuple[int, ...]:
         r_j      = 2 W_j(d) + W_j(d-1) + W_j(d+1),   W_j(y) = C(j, (j+|y|)/2)^2,
 
     with W_j(y) = 0 on parity or range failure; odd n gives 0 and
-    N(0, d) = [d = 0].  The binomial transform is evaluated by the row
-    recurrence row <- 4 row[:-1] + row[1:], whose leading entry after m - 1
-    steps is N(2m, d): O(n_max^2 / 8) exact additions and no 2-D grid.
-    Equal to `axis_walk_counts` wherever both are defined.
+    N(0, d) = [d = 0].  `edge`, kept with `counts`, is the transform's last
+    antidiagonal: r_J turns it into edge'[k] = edge'[k-1] + 4 edge[k-1] from
+    edge'[0] = r_J, ending in N(2J + 2, d), so no count is computed twice.
     """
     if n_max < 0 or d < 0:
         raise ValueError(f"n_max and d must be >= 0, got n_max = {n_max}, d = {d}")
-    column = [0] * (n_max + 1)
-    column[0] = int(d == 0)
-    row = np.array(
-        [
+    for n in range(len(counts), n_max + 1):
+        if n % 2 or n == 0:
+            counts.append(int(n == 0 and d == 0))
+            continue
+        j = len(edge)
+        value = (  # r_j, then edge'[k + 1] as edge[k] is overwritten by edge'[k]
             2 * _comb_or_zero(j, j + d) ** 2
             + _comb_or_zero(j, j + abs(d - 1)) ** 2
             + _comb_or_zero(j, j + d + 1) ** 2
-            for j in range(n_max // 2)
-        ],
-        dtype=object,
-    )
-    for n in range(2, n_max + 1, 2):
-        column[n] = int(row[0])
-        row = 4 * row[:-1] + row[1:]
-    return tuple(column)
+        )
+        for k in range(j):
+            edge[k], value = value, value + 4 * edge[k]
+        edge.append(value)
+        counts.append(value)
+
+
+def walk_count_column(d: int, n_max: int) -> tuple[int, ...]:
+    """N(n, d) for n = 0 .. n_max, equal to `axis_walk_counts` where both are defined."""
+    counts: list[int] = []
+    extend_walk_counts(counts, [], d, n_max)
+    return tuple(counts)
 
 
 def count_walks_closed_form(n: int, d: int) -> int:

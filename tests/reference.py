@@ -185,8 +185,8 @@ def scalar_evaluate_bound(t, d, couplings, *, source=None, rel_tol=1e-10):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    if not (rel_tol > 0 and math.isfinite(rel_tol)):
-        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
+    if not 0 < rel_tol < 1:
+        raise ValueError(f"rel_tol must be finite and > 0 and < 1, got {rel_tol}")
     if source is None:
         source = DpCountSource()
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lrcone import cli
+from lrcone import cli, lrbound
 from lrcone.cosmo import (
     BranchingConvention,
     HorizonModel,
@@ -24,7 +24,7 @@ from lrcone.cosmo import (
     v_lr_dimension,
 )
 from lrcone.lattice import LatticeSpec, build_decorated_lattice
-from lrcone.lrbound import BoundEvaluator, Couplings, DpCountSource
+from lrcone.lrbound import COLUMN_STEP, BoundEvaluator, Couplings, DpCountSource
 from lrcone.pathcount import (
     centered_axis_link,
     compare_closed_form,
@@ -117,6 +117,42 @@ def test_headline_arrivals_take_at_most_16_evaluations(headline_report):
     # A work-count guard on the arrival search (the plain bisection took 37
     # per arrival), not a timing test.
     assert all(a.evaluations <= 16 for a in headline_report.arrivals)
+
+
+def test_headline_computes_each_count_once(monkeypatch):
+    # A work-count guard on the count columns: each length of each column is
+    # computed once, and no column grows more than one step past its series.
+    calls: dict[int, list[tuple[int, int]]] = {}
+    original = lrbound.extend_walk_counts
+
+    def extend(counts, edge, d, n_max):
+        before = len(counts)
+        original(counts, edge, d, n_max)
+        calls.setdefault(d, []).append((before, len(counts)))
+
+    monkeypatch.setattr(lrbound, "extend_walk_counts", extend)
+    evaluator = BoundEvaluator(HEADLINE, source=DpCountSource(n_max=260))
+    truncations: dict[int, int] = {}
+    evaluate = evaluator.evaluate
+
+    def evaluate_and_record(t, d):
+        result = evaluate(t, d)
+        truncations[d] = max(truncations.get(d, 0), result.n_truncate)
+        return result
+
+    evaluator.evaluate = evaluate_and_record
+    extract_velocity(
+        HEADLINE,
+        d_values=HEADLINE_DISTANCES,
+        epsilon=HEADLINE_EPSILON,
+        evaluator=evaluator,
+        include_profile=True,
+    )
+    assert set(calls) == set(truncations)
+    for d, spans in calls.items():
+        grown = [(a, b) for a, b in spans if b > a]
+        assert [a for a, _ in grown] == [0] + [b for _, b in grown[:-1]], d
+        assert grown[-1][1] - 1 <= truncations[d] + COLUMN_STEP, d
 
 
 def test_criterion_3_coupling_scaling_ratio(shared_source, headline_report):

@@ -156,6 +156,9 @@ def test_bound_usage_errors(tmp_path):
     [
         ["bound", "--rel-tol", "nan", "--t", "0.5", "--d", "2"],
         ["bound", "--rel-tol", "inf", "--t", "0.5", "--d", "2"],
+        # rel_tol >= 1 would certify an infinite tail here.
+        ["bound", "--rel-tol", "1e300", "--g", "7.12", "--J", "0.499", "--probe-norm", "0.267",
+         "--step-factor", "0.694", "--t", "137.86", "--d", "2"],
         ["velocity", "--rel-tol", "nan"],
         ["velocity", "--epsilon", "nan"],
         ["velocity", "--epsilon", "inf"],

@@ -5,6 +5,7 @@ here the independent route is the series assembly: Fraction arithmetic with
 no logs or floats, versus the implementation's log-space fsum.
 """
 
+import dataclasses
 import math
 import sys
 import time
@@ -15,8 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrcone.lrbound import (
+    COLUMN_STEP,
     TAIL_KAPPA,
     BoundEvaluator,
+    BoundSeriesResult,
     ConvergenceError,
     Couplings,
     DpCountSource,
@@ -245,12 +248,34 @@ def test_dp_source_extends_columns_lazily():
     assert tuple(extended) == walk_count_column(3, src.n_max)
 
 
+@given(
+    d=st.integers(0, 200),
+    reads=st.lists(st.tuples(st.integers(0, 400), st.booleans()), min_size=1, max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_dp_source_grows_columns_in_place(d, reads):
+    # Each read is a series' (ensure, log_column) or a plain count; whatever
+    # the order, the column, its logs and count() agree with one full build.
+    full = walk_count_column(d, max(max(n for n, _ in reads), 2 * d) + COLUMN_STEP)
+    src = DpCountSource(n_max=0)
+    for n, as_series in reads:
+        src.ensure(n, d)
+        if as_series:
+            log_counts, log_factorial = src.log_column(n, d)
+            assert n < len(log_counts) < len(log_factorial)
+            assert list(log_counts) == [
+                math.log(c) if c else -math.inf for c in full[: len(log_counts)]
+            ]
+        assert src.count(n, d) == full[n]
+    assert [src.count(n, d) for n in range(src.n_max + 1)] == list(full[: src.n_max + 1])
+
+
 def test_dp_source_hard_limit():
     src = DpCountSource(n_max=4, hard_n_limit=16)
     with pytest.raises(ConvergenceError, match="hard limit"):
         src.ensure(40, 0)
     src.ensure(12, 0)  # below the cap: fine
-    assert src.n_max == 16
+    assert src.n_max == 12
 
 
 def test_closed_form_source_diverges_from_dp(shared_source):
@@ -272,7 +297,7 @@ def test_convergence_error_when_budget_too_small():
         evaluate_bound(3.0, 2, HALF, source=source)
 
 
-@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-10])
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-10, 1.0, 1e300])
 def test_evaluate_bound_rejects_bad_rel_tol(rel_tol):
     source = DpCountSource(n_max=8)
     with pytest.raises(ValueError, match="rel_tol must be finite and > 0"):
@@ -392,7 +417,8 @@ def _assert_matches_scalar_loop(t, d, couplings, rel_tol, source, scalar_source)
     scalar = _outcome(scalar_evaluate_bound, t, d, couplings, scalar_source, rel_tol)
     # Field for field (value, n_truncate, tail), or the same exception.
     assert result == scalar, (t, d, couplings, rel_tol)
-    assert source.n_max == scalar_source.n_max
+    if isinstance(result, BoundSeriesResult):
+        assert result.n_truncate <= source.n_max
 
 
 @pytest.mark.parametrize("couplings", ORACLE_COUPLINGS)
@@ -445,6 +471,29 @@ def test_edge_cells_take_the_expected_branches():
 def test_evaluate_bound_matches_scalar_loop(t, d, rel_tol, couplings):
     # Fresh sources: both sides must also grow the count table alike.
     _assert_matches_scalar_loop(t, d, couplings, rel_tol, DpCountSource(), DpCountSource())
+
+
+_TAIL_SOURCE = DpCountSource()
+
+
+@given(
+    t=st.integers(min_value=0, max_value=400 * 64).map(lambda k: k / 64),
+    d=st.integers(min_value=0, max_value=300),
+    rel_tol=st.floats(min_value=1e-16, max_value=1.0, exclude_max=True),
+    norms=st.tuples(*[st.floats(min_value=-150, max_value=150).map(lambda e: 10.0**e)] * 2),
+    couplings=st.sampled_from(ORACLE_COUPLINGS),
+)
+@example(t=50.0, d=2, rel_tol=1 - 2**-53, norms=(1e150, 1e150), couplings=HALF)
+@settings(max_examples=100, deadline=None)
+def test_returned_tail_is_finite(t, d, rel_tol, norms, couplings):
+    # With rel_tol < 1 an infinite tail could pass only with an overflowing
+    # value, and that is refused.
+    couplings = dataclasses.replace(couplings, origin_norm=norms[0], probe_norm=norms[1])
+    try:
+        result = evaluate_bound(t, d, couplings, source=_TAIL_SOURCE, rel_tol=rel_tol)
+    except ConvergenceError:
+        return
+    assert math.isfinite(result.tail)
 
 
 # t in {0, 1e-300, 1e-12, 1e-8, ..., 400} times d in {0, ..., 300}: 24 x 23

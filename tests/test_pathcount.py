@@ -23,6 +23,7 @@ from lrcone.pathcount import (
     compare_closed_form,
     count_walks_closed_form,
     count_walks_dp,
+    extend_walk_counts,
     fidelity_report,
     gross_upper_bound,
     perpendicular_target,
@@ -285,6 +286,17 @@ def test_walk_count_column_properties(n, d, extra):
         assert column[n] == 1
     else:
         assert 0 < column[n] <= 8 ** (n // 2)
+
+
+@given(d=st.integers(0, 200), lengths=st.lists(st.integers(0, 400), min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_extend_walk_counts_in_place_equals_one_build(d, lengths):
+    # Repeated and shorter lengths included: a shorter request changes nothing.
+    full = walk_count_column(d, max(lengths))
+    counts, edge = [], []
+    for i, n in enumerate(lengths):
+        extend_walk_counts(counts, edge, d, n)
+        assert tuple(counts) == full[: max(lengths[: i + 1]) + 1]
 
 
 def test_walk_count_column_validation():
