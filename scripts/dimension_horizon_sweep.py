@@ -52,7 +52,7 @@ def main() -> None:
         "csv",
         ["D", "v_axis_pairs", "v_degrees"],
         rows,
-        {"couplings": {"g": args.g, "J": args.J}},
+        {"couplings": couplings.to_json_dict()},
     )
     print(f"dimension scan ({len(rows)} rows) -> {scan_path}")
     for D, v_axis, v_deg in rows[:: len(rows) // 5]:

@@ -4,6 +4,9 @@ Subcommands: count, bound, velocity, scan-dim, horizon.  Exit codes:
 0 success, 1 usage or validation error, 2 closed-form fidelity mismatch,
 3 numerical failure (non-convergent series or unreachable threshold).
 
+Each key of the one config table, `_CONFIG_DEFAULTS`, takes its flag, else
+its --config file value (type-checked), else its default.
+
 Every output artifact embeds the resolved run configuration
 (schema_version 2) and is byte-identical across reruns; wall-clock metadata
 goes to a ``<output>.meta.json`` sidecar, never into the body; the velocity
@@ -32,7 +35,7 @@ from .cosmo import (
 
 # Not used here; perfbench's traced run (--trace 1) patches this attribute.
 from .cosmo import lightcone_boundary  # noqa: F401
-from .lrbound import BoundEvaluator, ConvergenceError, Couplings
+from .lrbound import DEFAULT_STEP_FACTOR, BoundEvaluator, ConvergenceError, Couplings
 from .pathcount import axis_walk_counts, compare_closed_form, fidelity_report
 from .velocity import (
     ThresholdUnreachableError,
@@ -45,12 +48,29 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_NUMERIC = 3
 
+# Largest --nmax and --d entry of `count`: its O(n_max^3) grid dynamic program
+# takes 48 s at 512 on a 2-core VM.  A d above n_max / 2 only adds zero counts.
+COUNT_LIMIT = 512
+
 _DEFAULT_OUTPUTS = {
     "count": "counts.csv",
     "bound": "bound_grid.csv",
     "velocity": "velocity_report.json",
     "scan-dim": "dimension_scan.csv",
     "horizon": "lightcone.csv",
+}
+
+
+# Config-file sections -> keys -> defaults; each key is its flag's argparse
+# dest.  RunConfig holds the couplings section as one Couplings and every
+# other key as a field of the same name.  velocity defaults to json.
+_CONFIG_DEFAULTS = {
+    "couplings": {
+        "g": 0.5, "J": 0.5, "origin_norm": 1.0, "probe_norm": 1.0,
+        "step_factor": DEFAULT_STEP_FACTOR,
+    },
+    "tolerances": {"rel_tol": 1e-10, "epsilon": 1e-8},
+    "output": {"path": None, "format": "csv"},
 }
 
 
@@ -62,92 +82,70 @@ class RunConfig:
     echo embedded in any output artifact reproduces its run.
     """
 
-    g: float = 0.5
-    J: float = 0.5
-    origin_norm: float = 1.0
-    probe_norm: float = 1.0
-    step_factor: float = math.sqrt(2.0)
-    rel_tol: float = 1e-10
-    epsilon: float = 1e-8
-    output_path: str | None = None
-    output_format: str = "csv"
-
-    def couplings(self) -> Couplings:
-        return Couplings(
-            g=self.g,
-            J=self.J,
-            origin_norm=self.origin_norm,
-            probe_norm=self.probe_norm,
-            step_factor=self.step_factor,
-        )
+    couplings: Couplings
+    rel_tol: float
+    epsilon: float
+    path: str | None
+    format: str
 
     def to_json_dict(self) -> dict:
         return {
-            "couplings": self.couplings().to_json_dict(),
-            "tolerances": {
-                "rel_tol": self.rel_tol,
-                "epsilon": self.epsilon,
-            },
-            "output": {
-                "path": self.output_path,
-                "format": self.output_format,
-            },
+            section: {
+                key: getattr(self.couplings if section == "couplings" else self, key)
+                for key in keys
+            }
+            for section, keys in _CONFIG_DEFAULTS.items()
         }
 
 
-_CONFIG_SECTIONS = {
-    "couplings": ("g", "J", "origin_norm", "probe_norm", "step_factor"),
-    "tolerances": ("rel_tol", "epsilon"),
-    "output": ("path", "format"),
-}
-
-_CONFIG_FIELD_RENAMES = {"path": "output_path", "format": "output_format"}
-
-
-def _config_from_dict(doc: dict) -> dict:
-    """Flatten the nested config-file shape into RunConfig field values."""
-    if not isinstance(doc, dict):
-        raise ValueError("config file must contain a JSON object")
-    unknown_sections = set(doc) - set(_CONFIG_SECTIONS) - {"schema_version"}
-    if unknown_sections:
-        raise ValueError(f"unknown config sections: {sorted(unknown_sections)}")
-    flat: dict = {}
-    for section, keys in _CONFIG_SECTIONS.items():
-        body = doc.get(section, {})
-        if not isinstance(body, dict):
-            raise ValueError(f"config section {section!r} must be an object")
-        unknown = set(body) - set(keys)
-        if unknown:
-            raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-        for key in keys:
-            if key in body and body[key] is not None:
-                flat[_CONFIG_FIELD_RENAMES.get(key, key)] = body[key]
-    return flat
+def _check_config_value(section: str, key: str, value) -> None:
+    """Refuse a config-file value of the wrong JSON type, naming its key."""
+    if key == "path":
+        ok, expected = isinstance(value, str), "a string"
+    elif key == "format":
+        ok, expected = value in ("csv", "json"), "csv or json"
+    else:  # bool is no JSON number; an int past float range overflows math.isfinite
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        expected = "a finite JSON number"
+    if not ok:
+        raise ValueError(f"config value {section}.{key} must be {expected}, got {value!r}")
 
 
 def resolve_config(args: argparse.Namespace, *, default_format: str = "csv") -> RunConfig:
-    """Defaults, then the --config file, then explicit flags, in that order."""
-    values: dict = {"output_format": default_format}
+    """Each key takes its flag if given, else the --config file's value, else the default.
+
+    A file value of null counts as absent.
+    """
+    doc: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            values.update(_config_from_dict(json.load(fh)))
-    flag_fields = ("g", "J", "origin_norm", "probe_norm", "step_factor", "rel_tol", "epsilon")
-    for field in flag_fields:
-        value = getattr(args, field, None)
-        if value is not None:
-            values[field] = value
-    if getattr(args, "output", None) is not None:
-        values["output_path"] = args.output
-    if getattr(args, "format", None) is not None:
-        values["output_format"] = args.format
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
-        raise ValueError(f"bad configuration: {exc}") from None
-    if cfg.output_format not in ("csv", "json"):
-        raise ValueError(f"output format must be csv or json, got {cfg.output_format!r}")
-    cfg.couplings()  # validates the coupling fields eagerly
-    return cfg
+            doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("config file must contain a JSON object")
+    unknown_sections = set(doc) - set(_CONFIG_DEFAULTS) - {"schema_version"}
+    if unknown_sections:
+        raise ValueError(f"unknown config sections: {sorted(unknown_sections)}")
+    resolved: dict = {}
+    for section, defaults in _CONFIG_DEFAULTS.items():
+        body = doc.get(section, {})
+        if not isinstance(body, dict):
+            raise ValueError(f"config section {section!r} must be an object")
+        unknown = set(body) - set(defaults)
+        if unknown:
+            raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+        resolved[section] = {}
+        for key, default in defaults.items():
+            value = body.get(key)
+            if value is not None:
+                _check_config_value(section, key, value)
+            flag = getattr(args, key, None)
+            if flag is not None:
+                value = flag
+            elif value is None:
+                value = default_format if key == "format" else default
+            resolved[section][key] = value
+    couplings = Couplings(**resolved.pop("couplings"))
+    return RunConfig(couplings, **resolved["tolerances"], **resolved["output"])
 
 
 def _echo(cfg: RunConfig) -> dict:
@@ -155,7 +153,7 @@ def _echo(cfg: RunConfig) -> dict:
 
 
 def _output_path(cfg: RunConfig, command: str) -> str:
-    return cfg.output_path if cfg.output_path is not None else _DEFAULT_OUTPUTS[command]
+    return cfg.path if cfg.path is not None else _DEFAULT_OUTPUTS[command]
 
 
 def _write_json_doc(path: str, doc: dict) -> None:
@@ -212,18 +210,18 @@ def _parse_float_list(text: str, *, name: str) -> list[float]:
 
 
 def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.nmax < 0:
-        raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
+    if not 0 <= args.nmax <= COUNT_LIMIT:
+        raise ValueError(f"--nmax must lie in [0, {COUNT_LIMIT}], got {args.nmax}")
     d_list = _parse_int_list(args.d, name="--d")
-    if any(d < 0 for d in d_list):
-        raise ValueError(f"--d entries must be >= 0, got {d_list}")
+    if not all(0 <= d <= COUNT_LIMIT for d in d_list):
+        raise ValueError(f"--d entries must lie in [0, {COUNT_LIMIT}], got {d_list}")
 
     table = axis_walk_counts(args.nmax, max(d_list))
     comparisons = compare_closed_form(table.count, range(args.nmax + 1), d_list)
     path = _output_path(cfg, "count")
     write_table(
         path,
-        cfg.output_format,
+        cfg.format,
         ["n", "d", "dp_count", "closed_form", "match_flag"],
         [(c.n, c.d, c.dp, c.closed_form, int(c.match)) for c in comparisons],
         _echo(cfg),
@@ -252,12 +250,12 @@ def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
     if any(d < 0 for d in d_list):
         raise ValueError(f"--d entries must be >= 0, got {d_list}")
 
-    evaluator = BoundEvaluator(cfg.couplings(), rel_tol=cfg.rel_tol)
+    evaluator = BoundEvaluator(cfg.couplings, rel_tol=cfg.rel_tol)
     results = [evaluator.evaluate(t, d) for d in d_list for t in t_list]
     path = _output_path(cfg, "bound")
     write_table(
         path,
-        cfg.output_format,
+        cfg.format,
         ["t", "d", "bound", "n_truncate", "tail"],
         [(r.t, r.d, r.value, r.n_truncate, r.tail) for r in results],
         _echo(cfg),
@@ -272,13 +270,12 @@ def cmd_velocity(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"need 1 <= dmin <= dmax and dstep >= 1, got "
             f"dmin={args.dmin}, dmax={args.dmax}, dstep={args.dstep}"
         )
-    if cfg.output_format != "json":
+    if cfg.format != "json":
         raise ValueError("velocity emits a JSON report; use --format json")
     d_values = list(range(args.dmin, args.dmax + 1, args.dstep))
-    couplings = cfg.couplings()
-    evaluator = BoundEvaluator(couplings, rel_tol=cfg.rel_tol)
+    evaluator = BoundEvaluator(cfg.couplings, rel_tol=cfg.rel_tol)
     report = extract_velocity(
-        couplings,
+        cfg.couplings,
         d_values=d_values,
         epsilon=cfg.epsilon,
         evaluator=evaluator,
@@ -300,9 +297,9 @@ def cmd_scan_dim(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError(f"the dimension scan starts at 2, got {args.dim_min}")
     span = args.dim_max - args.dim_min
     grid = [args.dim_min + span * k / (args.num - 1) for k in range(args.num)]
-    rows = dimension_scan(grid, cfg.couplings())
+    rows = dimension_scan(grid, cfg.couplings)
     path = _output_path(cfg, "scan-dim")
-    write_table(path, cfg.output_format, ["D", "v_axis_pairs", "v_degrees"], rows, _echo(cfg))
+    write_table(path, cfg.format, ["D", "v_axis_pairs", "v_degrees"], rows, _echo(cfg))
     _write_sidecar(path)
     return EXIT_OK
 
@@ -315,14 +312,14 @@ def cmd_horizon(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = HorizonModel(
         D_in=args.Din,
         alpha=args.alpha,
-        couplings=cfg.couplings(),
+        couplings=cfg.couplings,
         convention=BranchingConvention(args.convention),
         mode="strict" if args.strict else "toy",
     )
     path = _output_path(cfg, "horizon")
     write_table(
         path,
-        cfg.output_format,
+        cfg.format,
         ["t", "r_axis_pairs", "r_degrees"],
         lightcone_rows(model, 0.0, args.tf, args.steps),
         {**_echo(cfg), "model": model_to_json_dict(model)},
@@ -354,7 +351,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--probe-norm", dest="probe_norm", type=float)
     parser.add_argument("--step-factor", dest="step_factor", type=float)
     parser.add_argument("--rel-tol", dest="rel_tol", type=float)
-    parser.add_argument("--output", help="output file path")
+    parser.add_argument("--output", dest="path", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
 
 

@@ -268,18 +268,13 @@ def model_to_json_dict(model: HorizonModel) -> dict:
     }
 
 
-def dimension_scan(
-    d_values: Sequence[float],
-    couplings: Couplings,
-    *,
-    mode: str = "strict",
-) -> list[tuple[float, float, float]]:
-    """Rows of (D, v_axis_pairs, v_degrees) for a dimension sweep."""
+def dimension_scan(d_values: Sequence[float], couplings: Couplings) -> list[tuple[float, float, float]]:
+    """Rows of (D, v_axis_pairs, v_degrees) for a dimension sweep, in strict mode."""
     return [
         (
             float(D),
-            v_lr_dimension(D, couplings, BranchingConvention.AXIS_PAIRS, mode=mode),
-            v_lr_dimension(D, couplings, BranchingConvention.DEGREES, mode=mode),
+            v_lr_dimension(D, couplings, BranchingConvention.AXIS_PAIRS),
+            v_lr_dimension(D, couplings, BranchingConvention.DEGREES),
         )
         for D in d_values
     ]

@@ -95,6 +95,9 @@ def geodesic_bracket_time(d: int, epsilon: float, couplings: Couplings) -> float
     return math.exp(log_t) / (couplings.step_factor * math.sqrt(couplings.g * couplings.J))
 
 
+TIME_REL_TOL = 1e-10
+MAX_EXPANSIONS = 80
+
 # The secant stops once evaluated times a < b bracket the threshold with
 # b / a - 1 <= _BRACKET_REL; the replayed bisection then evaluates only the
 # midpoints within _REPLAY_MARGIN (relative) of [a, b].
@@ -103,20 +106,14 @@ _REPLAY_MARGIN = 1e-12
 _MAX_SECANT_STEPS = 60
 
 
-def arrival_time(
-    d: int,
-    epsilon: float,
-    evaluator: BoundEvaluator,
-    *,
-    time_rel_tol: float = 1e-10,
-    max_expansions: int = 80,
-) -> ArrivalTime:
+def arrival_time(d: int, epsilon: float, evaluator: BoundEvaluator) -> ArrivalTime:
     """The first time B(t, d) reaches epsilon, as bisection defines it.
 
     The answer is the bisection's: from the bracket [0, t_hi], with t_hi the
     geodesic_bracket_time expanded by 1.5 while the evaluated bound there is
-    still below epsilon, halve until the bracket is narrower than
-    time_rel_tol * t_hi and report its midpoint and the bound there.
+    still below epsilon (at most MAX_EXPANSIONS times), halve until the
+    bracket is narrower than TIME_REL_TOL * t_hi and report its midpoint and
+    the bound there.
 
     It is reached with few evaluations in two steps.  A safeguarded secant
     in (log t, log B), using only the evaluated values, first finds two
@@ -134,8 +131,6 @@ def arrival_time(
         raise ValueError(f"d must be >= 1, got {d}")
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    if not (time_rel_tol > 0 and math.isfinite(time_rel_tol)):
-        raise ValueError(f"time_rel_tol must be finite and > 0, got {time_rel_tol}")
 
     couplings = evaluator.couplings
     t_hi = geodesic_bracket_time(d, epsilon, couplings)
@@ -144,7 +139,7 @@ def arrival_time(
     expansions = 0
     while value_hi < epsilon:
         expansions += 1
-        if expansions > max_expansions:
+        if expansions > MAX_EXPANSIONS:
             raise ThresholdUnreachableError(
                 f"no time with B(t, {d}) >= {epsilon} found up to t = {t_hi}"
             )
@@ -156,7 +151,7 @@ def arrival_time(
     evaluations += steps
 
     t_lo = 0.0
-    while t_hi - t_lo > time_rel_tol * t_hi:
+    while t_hi - t_lo > TIME_REL_TOL * t_hi:
         mid = 0.5 * (t_lo + t_hi)
         if mid >= b * (1.0 + _REPLAY_MARGIN):
             reached = True
@@ -343,7 +338,6 @@ def extract_velocity(
     d_values: Sequence[int],
     epsilon: float,
     evaluator: BoundEvaluator | None = None,
-    time_rel_tol: float = 1e-10,
     include_profile: bool = False,
 ) -> VelocityReport:
     """Arrival times over a distance window, front fit, analytic comparison.
@@ -359,9 +353,7 @@ def extract_velocity(
     elif evaluator.couplings != couplings:
         raise ValueError("evaluator couplings differ from the requested couplings")
 
-    arrivals = tuple(
-        arrival_time(d, epsilon, evaluator, time_rel_tol=time_rel_tol) for d in d_values
-    )
+    arrivals = tuple(arrival_time(d, epsilon, evaluator) for d in d_values)
     profile = None
     if include_profile:
         t_ref = arrivals[-1].time

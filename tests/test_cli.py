@@ -99,10 +99,16 @@ def test_count_rejects_nonplanar_dimension(tmp_path, capsys):
         ("count", "--d", ""),
         ("count", "--d", "1,x"),
         ("count", "--d", "-2"),
+        # Past COUNT_LIMIT: hours of grid work, or a 1e9-entry target list.
+        ("count", "--nmax", "5000"),
+        ("count", "--d", "1000000000"),
     ],
 )
 def test_count_usage_errors(tmp_path, argv):
+    start = time.perf_counter()
     assert run(*argv, "--output", str(tmp_path / "x.csv")) == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +226,9 @@ def test_velocity_defaults_reproduce_headline_configuration():
     args = parser.parse_args(["velocity"])
     assert (args.dmin, args.dmax, args.dstep) == (10, 40, 2)
     cfg = cli.resolve_config(args, default_format="json")
-    assert (cfg.g, cfg.J) == (0.5, 0.5)
+    assert (cfg.couplings.g, cfg.couplings.J) == (0.5, 0.5)
     assert cfg.epsilon == 1e-8
-    assert cfg.output_format == "json"
+    assert cfg.format == "json"
     assert cli._output_path(cfg, "velocity") == "velocity_report.json"
 
 
@@ -406,6 +412,92 @@ def test_echoed_config_reproduces_run(tmp_path):
     assert body1 == body2
 
 
+# The config echo, byte for byte, at the defaults and with a config file that
+# sets part of every section while --g overrides its g.  Only the echo is
+# pinned: numeric bodies pass through libm and may differ in the last bit.
+_PINNED_CONFIG = {
+    "couplings": {"g": 0.7, "J": 0.3, "origin_norm": 2.0},
+    "tolerances": {"rel_tol": 1e-9, "epsilon": 1e-6},
+    "output": {"path": "configured.out"},
+}
+_CSV_ECHO_DEFAULT = (
+    '# config: {"config": {"couplings": {"J": 0.5, "g": 0.5, "origin_norm": 1.0, '
+    '"probe_norm": 1.0, "step_factor": 1.4142135623730951}, "output": {"format": "csv", '
+    '"path": null}, "tolerances": {"epsilon": 1e-08, "rel_tol": 1e-10}}, "schema_version": 2}'
+)
+_CSV_ECHO_CONFIG = (
+    '# config: {"config": {"couplings": {"J": 0.3, "g": 0.9, "origin_norm": 2.0, '
+    '"probe_norm": 1.0, "step_factor": 1.4142135623730951}, "output": {"format": "csv", '
+    '"path": "configured.out"}, "tolerances": {"epsilon": 1e-06, "rel_tol": 1e-09}}, '
+    '"schema_version": 2}'
+)
+_PINNED_ECHOES = {
+    (False, "count"): _CSV_ECHO_DEFAULT,
+    (False, "bound"): _CSV_ECHO_DEFAULT,
+    (False, "scan-dim"): _CSV_ECHO_DEFAULT,
+    (False, "velocity"): (
+        '{"config": {"couplings": {"J": 0.5, "g": 0.5, "origin_norm": 1.0, "probe_norm": 1.0, '
+        '"step_factor": 1.4142135623730951}, "output": {"format": "json", "path": null}, '
+        '"tolerances": {"epsilon": 1e-08, "rel_tol": 1e-10}}, "schema_version": 2}'
+    ),
+    (False, "horizon"): (
+        '# config: {"config": {"couplings": {"J": 0.5, "g": 0.5, "origin_norm": 1.0, '
+        '"probe_norm": 1.0, "step_factor": 1.4142135623730951}, "output": {"format": "csv", '
+        '"path": null}, "tolerances": {"epsilon": 1e-08, "rel_tol": 1e-10}}, "model": '
+        '{"D_in": 100.0, "alpha": 0.01, "convention": "axis_pairs", "couplings": {"J": 0.5, '
+        '"g": 0.5, "origin_norm": 1.0, "probe_norm": 1.0, "step_factor": 1.4142135623730951}, '
+        '"mode": "toy"}, "schema_version": 2}'
+    ),
+    (True, "count"): _CSV_ECHO_CONFIG,
+    (True, "bound"): _CSV_ECHO_CONFIG,
+    (True, "scan-dim"): _CSV_ECHO_CONFIG,
+    (True, "velocity"): (
+        '{"config": {"couplings": {"J": 0.3, "g": 0.9, "origin_norm": 2.0, "probe_norm": 1.0, '
+        '"step_factor": 1.4142135623730951}, "output": {"format": "json", '
+        '"path": "configured.out"}, "tolerances": {"epsilon": 1e-06, "rel_tol": 1e-09}}, '
+        '"schema_version": 2}'
+    ),
+    (True, "horizon"): (
+        '# config: {"config": {"couplings": {"J": 0.3, "g": 0.9, "origin_norm": 2.0, '
+        '"probe_norm": 1.0, "step_factor": 1.4142135623730951}, "output": {"format": "csv", '
+        '"path": "configured.out"}, "tolerances": {"epsilon": 1e-06, "rel_tol": 1e-09}}, '
+        '"model": {"D_in": 100.0, "alpha": 0.01, "convention": "axis_pairs", "couplings": '
+        '{"J": 0.3, "g": 0.9, "origin_norm": 2.0, "probe_norm": 1.0, '
+        '"step_factor": 1.4142135623730951}, "mode": "toy"}, "schema_version": 2}'
+    ),
+}
+_DEFAULT_NAMES = {
+    "count": "counts.csv",
+    "bound": "bound_grid.csv",
+    "velocity": "velocity_report.json",
+    "scan-dim": "dimension_scan.csv",
+    "horizon": "lightcone.csv",
+}
+
+
+@pytest.mark.parametrize("with_config", [False, True], ids=["defaults", "config"])
+@pytest.mark.parametrize("command", list(_DEFAULT_NAMES))
+def test_config_echo_bytes_are_pinned(tmp_path, monkeypatch, command, with_config):
+    # Relative names only: output.path is part of the echo.
+    monkeypatch.chdir(tmp_path)
+    argv = [command]
+    if with_config:
+        with open("run_config.json", "w") as fh:
+            json.dump(_PINNED_CONFIG, fh)
+        argv += ["--config", "run_config.json", "--g", "0.9"]
+    assert run(*argv) == (cli.EXIT_MISMATCH if command == "count" else cli.EXIT_OK)
+    with open("configured.out" if with_config else _DEFAULT_NAMES[command]) as fh:
+        if command == "velocity":
+            doc = json.load(fh)
+            echo = json.dumps(
+                {"config": doc["config"], "schema_version": doc["schema_version"]},
+                sort_keys=True,
+            )
+        else:
+            echo = fh.readline().rstrip("\n")
+    assert echo == _PINNED_ECHOES[with_config, command]
+
+
 def test_shared_parser_carries_no_state_between_calls(tmp_path, monkeypatch):
     # main reuses one parser; a run with flags must not leak them into the
     # next run, whose artifact must match one parsed by a fresh parser.
@@ -444,12 +536,27 @@ def test_identical_runs_are_byte_identical_with_sidecar_timestamps(tmp_path):
         {"couplings": {"g": 0.5, "h": 1.0}},
         {"couplings": "not-an-object"},
         [1, 2, 3],
+        # Values of the wrong JSON type, refused before any file is opened.
+        {"couplings": {"g": "abc"}},
+        {"couplings": {"g": True}},
+        {"tolerances": {"rel_tol": "x"}},
+        {"tolerances": {"epsilon": "1e-8"}},
+        {"couplings": {"J": 10**400}},
+        {"output": {"path": 7}},
+        {"output": {"path": 987654}},
+        {"output": {"path": ["x.csv"]}},
+        {"output": {"format": "xml"}},
     ],
 )
-def test_bad_config_files_exit_1(tmp_path, doc):
-    cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(doc))
-    assert run("bound", "--config", str(cfg_path), "--output", str(tmp_path / "x")) == 1
+def test_bad_config_files_exit_1(tmp_path, monkeypatch, capsys, doc):
+    monkeypatch.chdir(tmp_path)
+    with open("bad.json", "w") as fh:
+        json.dump(doc, fh)
+    for command in ("bound", "velocity"):
+        assert run(command, "--config", "bad.json") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"lrcone {command}: ") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 @pytest.mark.parametrize(
