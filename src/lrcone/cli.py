@@ -52,6 +52,10 @@ EXIT_NUMERIC = 3
 # takes 48 s at 512 on a 2-core VM.  A d above n_max / 2 only adds zero counts.
 COUNT_LIMIT = 512
 
+# Largest `horizon --steps` and `scan-dim --num`, both row counts: 1e6
+# scan-dim rows take 8 s and 200 MB on a 2-core VM.
+ROW_LIMIT = 100_000
+
 _DEFAULT_OUTPUTS = {
     "count": "counts.csv",
     "bound": "bound_grid.csv",
@@ -184,21 +188,12 @@ def write_table(path: str, fmt: str, columns: list[str], rows: list[tuple], echo
         _write_json_doc(path, {**echo, "columns": columns, "rows": [list(r) for r in rows]})
 
 
-def _parse_int_list(text: str, *, name: str) -> list[int]:
+def _parse_list(text: str, kind: type, *, name: str) -> list:
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ValueError(f"{name} must be a comma-separated integer list, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{name} must not be empty")
-    return values
-
-
-def _parse_float_list(text: str, *, name: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"{name} must be a comma-separated number list, got {text!r}") from None
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{name} must be a comma-separated {noun} list, got {text!r}") from None
     if not values:
         raise ValueError(f"{name} must not be empty")
     return values
@@ -212,7 +207,7 @@ def _parse_float_list(text: str, *, name: str) -> list[float]:
 def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not 0 <= args.nmax <= COUNT_LIMIT:
         raise ValueError(f"--nmax must lie in [0, {COUNT_LIMIT}], got {args.nmax}")
-    d_list = _parse_int_list(args.d, name="--d")
+    d_list = _parse_list(args.d, int, name="--d")
     if not all(0 <= d <= COUNT_LIMIT for d in d_list):
         raise ValueError(f"--d entries must lie in [0, {COUNT_LIMIT}], got {d_list}")
 
@@ -243,8 +238,8 @@ def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
-    t_list = _parse_float_list(args.t, name="--t")
-    d_list = _parse_int_list(args.d, name="--d")
+    t_list = _parse_list(args.t, float, name="--t")
+    d_list = _parse_list(args.d, int, name="--d")
     if not all(t >= 0 and math.isfinite(t) for t in t_list):
         raise ValueError(f"--t entries must be finite and >= 0, got {t_list}")
     if any(d < 0 for d in d_list):
@@ -293,6 +288,8 @@ def cmd_scan_dim(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError(f"need dim-min <= dim-max, got {args.dim_min}, {args.dim_max}")
     if args.num < 2:
         raise ValueError(f"--num must be >= 2, got {args.num}")
+    if args.num > ROW_LIMIT:
+        raise ValueError(f"--num must be <= {ROW_LIMIT}, got {args.num}")
     if args.dim_min < 2:
         raise ValueError(f"the dimension scan starts at 2, got {args.dim_min}")
     span = args.dim_max - args.dim_min
@@ -307,6 +304,8 @@ def cmd_scan_dim(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_horizon(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
+    if args.steps > ROW_LIMIT:
+        raise ValueError(f"--steps must be <= {ROW_LIMIT}, got {args.steps}")
     if args.tf < 0:
         raise ValueError(f"--tf must be >= 0, got {args.tf}")
     model = HorizonModel(

@@ -10,15 +10,17 @@ first-class citizens:
 * ``degrees``:    b_D = 8 (D - 1), the product of the two alternating vertex
   degrees, which matches the branching measured on the built lattice.
 
-They coincide at D = 2 (b = 8) and at D = 1 (b = 0, no plaquettes) and
-differ by a factor sqrt(D / 2) in velocity at large D; outputs report both
-rather than hiding the discrepancy.
+`branching_factor` gives b_D for real D.  The two coincide at D = 2 (b = 8);
+at every D >= 2 the axis_pairs velocity is sqrt(D / 2) times the degrees one,
+and outputs report both rather than hiding the discrepancy.  Below D = 2 there
+are no plaquettes, and `v_lr_dimension` refuses such a D.
 
 The toy model shrinks the dimension linearly in time, D(t) = D_in (1 - alpha
 t), and the horizon is the time integral of the dimension-dependent velocity,
-producing parabolic light-cone sides in the linear-velocity regime.  Both
-integrands, sqrt(D (D - 1)) and sqrt(D - 1), have elementary antiderivatives,
-so the horizon is evaluated in closed form.
+producing parabolic light-cone sides in the linear-velocity regime.  Its
+``toy`` mode takes the velocity as zero for 1 <= D(t) < 2; ``strict`` mode
+refuses that range.  Both integrands, sqrt(D (D - 1)) and sqrt(D - 1), have
+elementary antiderivatives, so the horizon is evaluated in closed form.
 """
 
 from __future__ import annotations
@@ -40,20 +42,8 @@ class BranchingConvention(enum.Enum):
     DEGREES = "degrees"
 
 
-def branching_factor(D: int, convention: BranchingConvention) -> int:
-    """Two-step continuation count b_D for integer dimension D >= 1."""
-    if isinstance(D, bool) or not isinstance(D, int):
-        raise TypeError(f"D must be an integer for branching_factor, got {D!r}")
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
-    if convention is BranchingConvention.AXIS_PAIRS:
-        return 4 * D * (D - 1)
-    if convention is BranchingConvention.DEGREES:
-        return 8 * (D - 1)
-    raise ValueError(f"unknown convention {convention!r}")
-
-
-def _branching_real(D: float, convention: BranchingConvention) -> float:
+def branching_factor(D: float, convention: BranchingConvention) -> float:
+    """Two-step continuation count b_D for real dimension D."""
     if convention is BranchingConvention.AXIS_PAIRS:
         return 4.0 * D * (D - 1.0)
     if convention is BranchingConvention.DEGREES:
@@ -61,41 +51,22 @@ def _branching_real(D: float, convention: BranchingConvention) -> float:
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def convention_ratio(D: float) -> float:
-    """Velocity ratio axis_pairs / degrees = sqrt(D / 2), exact for D >= 2."""
-    if D < 2:
-        raise ValueError(f"conventions only both apply for D >= 2, got {D}")
-    return math.sqrt(D / 2.0)
-
-
 def v_lr_dimension(
     D: float,
     couplings: Couplings,
     convention: BranchingConvention = BranchingConvention.AXIS_PAIRS,
-    *,
-    mode: str = "strict",
 ) -> float:
-    """Velocity step_factor * (e / 2) * sqrt(b_D g J) for real dimension D.
+    """Velocity step_factor * (e / 2) * sqrt(b_D g J) for real dimension D >= 2.
 
     Reduces exactly to the 2D analytic velocity at D = 2 for either
-    convention.  ``strict`` mode rejects D below the plaquette threshold;
-    ``toy`` mode clamps the velocity to zero there (no faces, no dynamics)
-    but still rejects D < 1.
+    convention.  D below the plaquette threshold, where there are no faces,
+    is refused; `HorizonModel.velocity` clamps it to zero in toy mode.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not math.isfinite(D):
         raise ValueError(f"D must be finite, got {D}")
-    if D < 1.0:
-        raise ValueError(f"D must be >= 1, got {D}")
     if D < PLAQUETTE_THRESHOLD:
-        if mode == "strict":
-            raise ValueError(
-                f"D = {D} is below the plaquette threshold {PLAQUETTE_THRESHOLD} "
-                "(use toy mode to clamp the velocity to zero)"
-            )
-        return 0.0
-    b = _branching_real(D, convention)
+        raise ValueError(f"D = {D} is below the plaquette threshold {PLAQUETTE_THRESHOLD}")
+    b = branching_factor(D, convention)
     return couplings.step_factor * (math.e / 2.0) * math.sqrt(b * couplings.g * couplings.J)
 
 
@@ -135,9 +106,13 @@ class HorizonModel:
         return (1.0 - D_target / self.D_in) / self.alpha
 
     def velocity(self, t: float) -> float:
-        return v_lr_dimension(
-            self.dimension(t), self.couplings, self.convention, mode=self.mode
-        )
+        """v_lr_dimension at D(t); in toy mode 0 for 1 <= D(t) < 2 (no faces)."""
+        D = self.dimension(t)
+        if D < 1.0:
+            raise ValueError(f"D must be >= 1, got {D}")
+        if self.mode == "toy" and D < PLAQUETTE_THRESHOLD:
+            return 0.0
+        return v_lr_dimension(D, self.couplings, self.convention)
 
 
 def _mean_root_branching(

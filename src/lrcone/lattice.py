@@ -225,21 +225,3 @@ def graph_distance(lattice: DecoratedLattice, start: int, goal: int) -> int | No
                 queue.append(w)
     return None
 
-
-def lattice_to_json_dict(lattice: DecoratedLattice) -> dict:
-    """JSON-ready description: spec, vertex coordinate lists, incidence pairs.
-
-    Coordinates are the doubled integer coordinates used throughout; adjacency
-    entries are [link_id, plaquette_id] in global ids.
-    """
-    return {
-        "schema_version": 1,
-        "spec": {
-            "dimension": lattice.spec.dimension,
-            "extent": lattice.spec.extent,
-            "boundary": lattice.spec.boundary,
-        },
-        "link_vertices": [list(c) for c in lattice.link_coords],
-        "plaquette_vertices": [list(c) for c in lattice.plaquette_coords],
-        "adjacency": [list(pair) for pair in lattice.adjacency],
-    }

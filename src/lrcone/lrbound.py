@@ -52,10 +52,13 @@ from .pathcount import axis_walk_counts  # noqa: F401
 DEFAULT_STEP_FACTOR = math.sqrt(2.0)
 
 # The kappa-derivative of log tail(N) is (N + 5 - 2 d) + y / (1 - y) with
-# y = x / (N + 2) in (0, 1).  A tail is only accepted once the partial sum is
-# positive, which needs a nonzero term and so N >= 2 d; the tail then rises
-# with kappa, and its smallest kappa gives the tightest certificate.  Any
-# small positive value is valid; every certified tail in the artifacts and
+# y = x / (N + 2) in (0, 1).  A tail is accepted once it is <= rel_tol times
+# the prefactored partial sum.  Once that sum is positive, N >= 2 d, the tail
+# rises with kappa, and its smallest kappa gives the tightest certificate.
+# Before that the sum is 0 and only a tail that underflows to 0.0 passes:
+# evaluate_bound(1e-5, 40, Couplings(0.5, 0.5)) returns value 0.0 and tail
+# 0.0 at n_truncate 53, which is no upper bound on the positive B.  Any small
+# positive value is valid; every certified tail in the artifacts and
 # regression values is computed at this one.
 TAIL_KAPPA = 1e-3
 
@@ -254,10 +257,6 @@ class BoundSeriesResult:
     value: float
     n_truncate: int
     tail: float
-
-    @property
-    def rigorous_upper(self) -> float:
-        return self.value + self.tail
 
 
 def evaluate_bound(

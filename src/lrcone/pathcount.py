@@ -67,25 +67,21 @@ def check_extent_guard(lattice: DecoratedLattice, origin: int, n_max: int) -> No
 class PathCountTable:
     """Exact walk counts from one origin, layer by layer.
 
-    Either every layer is retained (`layers[n][q]`, full store) or only the
-    requested target vertices are (`target_counts[q][n]`).  `layer_totals[n]`
-    is the total number of length-n walks from the origin regardless of
-    endpoint.
+    `target_counts[q][n]` is the number of length-n walks from the origin to
+    vertex q, for the requested targets, or for every vertex when none were
+    requested.  `layer_totals[n]` is the total number of length-n walks from
+    the origin regardless of endpoint.
     """
 
     lattice_spec: LatticeSpec
     origin: int
     n_max: int
-    layers: tuple[tuple[int, ...], ...] | None
-    target_counts: dict[int, tuple[int, ...]] | None
+    target_counts: dict[int, tuple[int, ...]]
     layer_totals: tuple[int, ...]
 
     def count(self, n: int, vertex_id: int) -> int:
         if not (0 <= n <= self.n_max):
             raise ValueError(f"n = {n} outside the computed range [0, {self.n_max}]")
-        if self.layers is not None:
-            return self.layers[n][vertex_id]
-        assert self.target_counts is not None
         try:
             return self.target_counts[vertex_id][n]
         except KeyError:
@@ -105,7 +101,7 @@ def count_walks_dp(
     """Iterate the neighbor-sum recurrence from a link-vertex origin.
 
     With `targets` given, only those vertices' counts are retained (the full
-    layer still drives the recurrence); otherwise all layers are stored,
+    layer still drives the recurrence); otherwise every vertex's are,
     subject to `max_stored_entries`.
     """
     if not lattice.is_link(origin):
@@ -115,11 +111,13 @@ def count_walks_dp(
     check_extent_guard(lattice, origin, n_max)
 
     n_vertices = lattice.n_vertices
-    if targets is None and (n_max + 1) * n_vertices > max_stored_entries:
-        raise ValueError(
-            f"storing {(n_max + 1) * n_vertices} entries exceeds the cap of "
-            f"{max_stored_entries}; pass targets= to retain selected vertices only"
-        )
+    if targets is None:
+        if (n_max + 1) * n_vertices > max_stored_entries:
+            raise ValueError(
+                f"storing {(n_max + 1) * n_vertices} entries exceeds the cap of "
+                f"{max_stored_entries}; pass targets= to retain selected vertices only"
+            )
+        targets = range(n_vertices)
 
     max_degree = max((lattice.degree(v) for v in range(n_vertices)), default=0)
     # Sentinel column n_vertices points at a permanently-zero slot so that the
@@ -132,36 +130,25 @@ def count_walks_dp(
     vec = np.zeros(n_vertices + 1, dtype=object)
     vec[origin] = 1
 
-    store_all = targets is None
-    layers: list[tuple[int, ...]] = []
     per_target: dict[int, list[int]] = {}
-    if store_all:
-        layers.append(tuple(int(x) for x in vec[:n_vertices]))
-    else:
-        for q in targets:
-            if not (0 <= q < n_vertices):
-                raise ValueError(f"target {q} out of range [0, {n_vertices})")
-            per_target[int(q)] = [int(vec[q])]
+    for q in targets:
+        if not (0 <= q < n_vertices):
+            raise ValueError(f"target {q} out of range [0, {n_vertices})")
+        per_target[int(q)] = [int(vec[q])]
     totals = [1]
 
     for _ in range(n_max):
         new = vec[nbr].sum(axis=1)
         vec = np.concatenate([new, np.zeros(1, dtype=object)])
         totals.append(int(new.sum()))
-        if store_all:
-            layers.append(tuple(int(x) for x in new))
-        else:
-            for q, acc in per_target.items():
-                acc.append(int(new[q]))
+        for q, acc in per_target.items():
+            acc.append(int(new[q]))
 
     return PathCountTable(
         lattice_spec=lattice.spec,
         origin=origin,
         n_max=n_max,
-        layers=tuple(layers) if store_all else None,
-        target_counts={q: tuple(acc) for q, acc in per_target.items()}
-        if not store_all
-        else None,
+        target_counts={q: tuple(acc) for q, acc in per_target.items()},
         layer_totals=tuple(totals),
     )
 
@@ -211,7 +198,6 @@ class AxisWalkCounts:
     n_max: int
     d_max: int
     counts: tuple[tuple[int, ...], ...]
-    layer_totals: tuple[int, ...] | None
 
     def count(self, n: int, d: int) -> int:
         if not (0 <= n <= self.n_max):
@@ -221,9 +207,7 @@ class AxisWalkCounts:
         return self.counts[d][n]
 
 
-def axis_walk_counts(
-    n_max: int, d_max: int, *, compute_totals: bool = False
-) -> AxisWalkCounts:
+def axis_walk_counts(n_max: int, d_max: int) -> AxisWalkCounts:
     """Exact counts for the canonical pair family on the (implicit) infinite plane.
 
     Works on doubled offsets from the origin link; a walk of length n never
@@ -253,7 +237,6 @@ def axis_walk_counts(
     series: list[list[int]] = [
         [int(layer[t[0], t[1]]) if t is not None else 0] for t in targets
     ]
-    totals = [1] if compute_totals else None
 
     for _ in range(n_max):
         new = np.zeros((size, size), dtype=object)
@@ -265,14 +248,11 @@ def axis_walk_counts(
         layer = new
         for d, t in enumerate(targets):
             series[d].append(int(layer[t[0], t[1]]) if t is not None else 0)
-        if totals is not None:
-            totals.append(int(layer.sum()))
 
     return AxisWalkCounts(
         n_max=n_max,
         d_max=d_max,
         counts=tuple(tuple(acc) for acc in series),
-        layer_totals=tuple(totals) if totals is not None else None,
     )
 
 

@@ -63,7 +63,7 @@ def optimize_kappa(couplings: Couplings) -> KappaOptimum:
 
 def analytic_velocity(couplings: Couplings) -> float:
     """Certified cone velocity step * e * sqrt(2 g J) (kappa = 1 optimum)."""
-    return couplings.step_factor * math.e * couplings.coupling_speed
+    return optimize_kappa(couplings).v_lr
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +344,8 @@ def extract_velocity(
 
     The subwindow slopes (first half versus second half of the distance
     window) expose any residual drift of the fitted velocity with distance.
+    A window whose largest distance needs walks past the count source's work
+    budget raises ConvergenceError before the first arrival is computed.
     """
     d_values = tuple(int(d) for d in d_values)
     if len(d_values) < 4:
@@ -352,6 +354,7 @@ def extract_velocity(
         evaluator = BoundEvaluator(couplings)
     elif evaluator.couplings != couplings:
         raise ValueError("evaluator couplings differ from the requested couplings")
+    evaluator.source.ensure(0, max(d_values))
 
     arrivals = tuple(arrival_time(d, epsilon, evaluator) for d in d_values)
     profile = None

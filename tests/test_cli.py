@@ -243,6 +243,16 @@ def test_velocity_bad_window(tmp_path):
     assert run("velocity", "--dmin", "0", "--output", str(tmp_path / "x")) == 1
 
 
+def test_velocity_window_past_work_budget_exits_3_at_once(tmp_path, capsys):
+    # d > 4096 needs walks past hard_n_limit 8192; no arrival is computed first.
+    start = time.perf_counter()
+    code = run("velocity", "--dmin", "1", "--dmax", "100000", "--output", str(tmp_path / "x"))
+    assert code == cli.EXIT_NUMERIC
+    assert time.perf_counter() - start < 1.0
+    assert "hard limit" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # scan-dim
 # ---------------------------------------------------------------------------
@@ -266,6 +276,11 @@ def test_scan_dim_usage_errors(tmp_path):
     assert run("scan-dim", "--dim-min", "1.5", "--output", str(tmp_path / "x")) == 1
     assert run("scan-dim", "--num", "1", "--output", str(tmp_path / "x")) == 1
     assert run("scan-dim", "--dim-min", "8", "--dim-max", "4", "--output", str(tmp_path / "x")) == 1
+    # Past ROW_LIMIT the row list alone would take minutes and gigabytes.
+    start = time.perf_counter()
+    assert run("scan-dim", "--num", "100000001", "--output", str(tmp_path / "x")) == 1
+    assert time.perf_counter() - start < 1.0
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +347,13 @@ def test_horizon_dimension_below_one_exits_1(tmp_path, capsys):
                "--output", str(tmp_path / "x.csv"))
     assert code == cli.EXIT_USAGE
     assert capsys.readouterr().err
+
+
+def test_horizon_steps_past_row_limit_exits_1_without_artifact(tmp_path):
+    start = time.perf_counter()
+    assert run("horizon", "--steps", "100000001", "--output", str(tmp_path / "x.csv")) == 1
+    assert time.perf_counter() - start < 1.0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_horizon_strict_mode_rejects_crossing(tmp_path):

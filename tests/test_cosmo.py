@@ -11,7 +11,6 @@ from lrcone.cosmo import (
     BranchingConvention,
     HorizonModel,
     branching_factor,
-    convention_ratio,
     dimension_scan,
     horizon_distance,
     lightcone_boundary,
@@ -53,22 +52,10 @@ def test_degrees_convention_matches_built_lattice():
     assert continuations == branching_factor(3, DEG) == 16
 
 
-def test_branching_factor_validation():
-    with pytest.raises(ValueError, match=">= 1"):
-        branching_factor(0, AXIS)
-    with pytest.raises(TypeError, match="integer"):
-        branching_factor(2.5, AXIS)
-    with pytest.raises(TypeError, match="integer"):
-        branching_factor(True, AXIS)
-
-
 def test_convention_ratio_is_sqrt_half_d():
     for D in (2.0, 3.0, 10.0, 1e4):
         direct = v_lr_dimension(D, HALF, AXIS) / v_lr_dimension(D, HALF, DEG)
-        assert convention_ratio(D) == pytest.approx(direct, rel=1e-12)
-        assert convention_ratio(D) == pytest.approx(math.sqrt(D / 2.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        convention_ratio(1.5)
+        assert direct == pytest.approx(math.sqrt(D / 2.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +84,19 @@ def test_velocity_per_dimension_converges_from_below():
 
 
 def test_strict_and_toy_modes_below_threshold():
+    # D(t) = 2 (1 - 0.1 t): 1.8 at t = 1, 1 at t = 5, 0.7 at t = 6.5.
+    toy, strict = (
+        HorizonModel(D_in=2.0, alpha=0.1, couplings=HALF, mode=mode) for mode in ("toy", "strict")
+    )
+    assert toy.velocity(1.0) == 0.0
+    assert toy.velocity(5.0) == 0.0
     with pytest.raises(ValueError, match="plaquette threshold"):
-        v_lr_dimension(1.8, HALF, AXIS, mode="strict")
-    assert v_lr_dimension(1.8, HALF, AXIS, mode="toy") == 0.0
-    assert v_lr_dimension(1.0, HALF, AXIS, mode="toy") == 0.0
-    for mode in ("strict", "toy"):
+        strict.velocity(1.0)
+    for model in (toy, strict):
         with pytest.raises(ValueError, match=">= 1"):
-            v_lr_dimension(0.7, HALF, AXIS, mode=mode)
-    with pytest.raises(ValueError, match="mode"):
-        v_lr_dimension(3.0, HALF, AXIS, mode="lenient")
+            model.velocity(6.5)
+    with pytest.raises(ValueError, match="plaquette threshold"):
+        v_lr_dimension(1.8, HALF, AXIS)
     with pytest.raises(ValueError, match="finite"):
         v_lr_dimension(math.inf, HALF, AXIS)
 

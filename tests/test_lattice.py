@@ -14,7 +14,6 @@ from lrcone.lattice import (
     expected_link_count,
     expected_plaquette_count,
     graph_distance,
-    lattice_to_json_dict,
 )
 
 
@@ -226,20 +225,6 @@ def test_ordering_links_before_plaquettes_lexicographic():
     # ids round-trip through coordinates
     for vid in range(lat.n_vertices):
         assert lat.vertex_id(lat.vertex_coord(vid)) == vid
-
-
-def test_json_export_schema():
-    spec = LatticeSpec(2, 3, "open")
-    lat = build_decorated_lattice(spec)
-    doc = lattice_to_json_dict(lat)
-    assert doc["schema_version"] == 1
-    assert doc["spec"] == {"dimension": 2, "extent": 3, "boundary": "open"}
-    assert len(doc["link_vertices"]) == lat.n_links
-    assert len(doc["plaquette_vertices"]) == lat.n_plaquettes
-    assert len(doc["adjacency"]) == len(lat.adjacency)
-    for link_id, plaq_id in doc["adjacency"]:
-        assert 0 <= link_id < lat.n_links
-        assert lat.n_links <= plaq_id < lat.n_vertices
 
 
 @pytest.mark.parametrize(

@@ -212,8 +212,7 @@ def test_axis_walk_counts_match_lattice_dp(lattice_2d, table_2d):
 
 
 def test_axis_walk_counts_totals_and_unreachable_targets():
-    aw = axis_walk_counts(6, 5, compute_totals=True)
-    assert aw.layer_totals == tuple(2 ** math.ceil(n / 2) * 4 ** (n // 2) for n in range(7))
+    aw = axis_walk_counts(6, 5)
     # 2 d > n_max lies outside the window; the series is identically zero.
     assert all(aw.count(n, 5) == 0 for n in range(7))
     with pytest.raises(ValueError, match="computed range"):

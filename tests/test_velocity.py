@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcone.lrbound import BoundEvaluator, Couplings, DpCountSource
+from lrcone.lrbound import BoundEvaluator, ConvergenceError, Couplings, DpCountSource
 from lrcone.velocity import (
     ArrivalTime,
     analytic_velocity,
@@ -65,6 +65,18 @@ def test_analytic_velocity_closed_forms(g, J, expected):
     opt = optimize_kappa(cpl)
     assert opt.v_lr == pytest.approx(expected, rel=1e-12)
     assert analytic_velocity(cpl) == pytest.approx(opt.v_lr, rel=1e-12)
+
+
+@given(
+    g=st.floats(0.01, 10.0),
+    J=st.floats(0.01, 10.0),
+    step=st.floats(0.1, 2.0, exclude_min=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_analytic_velocity_is_the_kappa_optimum_exactly(g, J, step):
+    # One formula: the artifact's kappa.v_lr and analytic_velocity agree to the bit.
+    cpl = Couplings(g=g, J=J, step_factor=step)
+    assert analytic_velocity(cpl) == optimize_kappa(cpl).v_lr
 
 
 def test_objective_unimodal_on_grid():
@@ -272,6 +284,14 @@ def test_extract_velocity_validation(evaluator):
     other = BoundEvaluator(Couplings(g=1.0, J=1.0))
     with pytest.raises(ValueError, match="couplings differ"):
         extract_velocity(HALF, d_values=[4, 6, 8, 10], epsilon=1e-6, evaluator=other)
+
+
+def test_extract_velocity_refuses_window_past_work_budget_before_any_arrival():
+    # d = 5000 needs walks of length 10000, past hard_n_limit 8192.
+    ev = BoundEvaluator(HALF)
+    with pytest.raises(ConvergenceError, match="hard limit"):
+        extract_velocity(HALF, d_values=[10, 20, 40, 5000], epsilon=1e-8, evaluator=ev)
+    assert ev.evaluations == 0
 
 
 @pytest.mark.slow
