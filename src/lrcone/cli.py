@@ -267,8 +267,11 @@ def cmd_velocity(cfg: RunConfig, args: argparse.Namespace) -> int:
         )
     if cfg.format != "json":
         raise ValueError("velocity emits a JSON report; use --format json")
-    d_values = list(range(args.dmin, args.dmax + 1, args.dstep))
     evaluator = BoundEvaluator(cfg.couplings, rel_tol=cfg.rel_tol)
+    # The work budget sees the window's last distance before any list is built.
+    last = args.dmin + (args.dmax - args.dmin) // args.dstep * args.dstep
+    evaluator.source.ensure(0, last)
+    d_values = list(range(args.dmin, args.dmax + 1, args.dstep))
     report = extract_velocity(
         cfg.couplings,
         d_values=d_values,

@@ -16,7 +16,8 @@ allowed.  Three count sources exist:
   while the loops run at C speed), on a built lattice (`count_walks_dp`) or
   on the implicit infinite plane (`axis_walk_counts`).  It is the
   independent oracle the closed form is tested against, and the reference
-  `lrcone count` audits the paper's formula against.
+  `lrcone count` audits the paper's formula against.  These two functions
+  import numpy when called; nothing else in the package loads it.
 * the paper's literal binomial expression (`count_walks_closed_form`),
   compared entry-by-entry against the dynamic program; every discrepancy is
   collected into a machine-readable fidelity report.
@@ -26,11 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
-
-from .lattice import DecoratedLattice, LatticeSpec
+if TYPE_CHECKING:
+    from .lattice import DecoratedLattice, LatticeSpec
 
 DEFAULT_MAX_STORED_ENTRIES = 5_000_000
 
@@ -109,6 +109,7 @@ def count_walks_dp(
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     check_extent_guard(lattice, origin, n_max)
+    import numpy as np
 
     n_vertices = lattice.n_vertices
     if targets is None:
@@ -216,6 +217,7 @@ def axis_walk_counts(n_max: int, d_max: int) -> AxisWalkCounts:
     """
     if n_max < 0 or d_max < 0:
         raise ValueError("n_max and d_max must be >= 0")
+    import numpy as np
 
     size = 2 * n_max + 3
     mid = size // 2

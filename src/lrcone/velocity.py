@@ -11,6 +11,8 @@ gives, reached by a secant and a replay of that bisection), then fit the
 front d = velocity * t* + offset by least squares.  Optionally a profile of
 bound values at one time, log B = log A + (velocity * t - d) / decay_length,
 gives the decay length and amplitude of the envelope at the fitted velocity.
+Every fit is exact: slope, intercept, r^2 and the mean squared residual are
+the least-squares values of the float inputs, each rounded once.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .lrbound import BoundEvaluator, Couplings
 
@@ -245,14 +245,37 @@ class LightConeFit:
     n_profile: int
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    rms = math.sqrt(ss_res / len(x))
-    return float(slope), float(intercept), r_squared, rms
+def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float, float]:
+    """Least-squares line y = slope x + intercept: slope, intercept, r^2, rms.
+
+    Every float is an integer over one common power of two, so the centred
+    sums n Sxy - Sx Sy, n Sxx - Sx^2 and n Syy - Sy^2 are exact Python ints,
+    and each returned value (the mean squared residual before its square
+    root) is one int / int division, which CPython rounds correctly.
+    r^2 is 1.0 when the ys do not vary.
+    """
+    n = len(xs)
+    points = [float(v) for v in (*xs, *ys)]
+    if not all(map(math.isfinite, points)):
+        raise ValueError("fit points must be finite")
+    ratios = [v.as_integer_ratio() for v in points]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    xi, yi = ints[:n], ints[n:]
+    sx, sy = sum(xi), sum(yi)
+    sxx = sum(x * x for x in xi)
+    sxy = sum(x * y for x, y in zip(xi, yi))
+    syy = sum(y * y for y in yi)
+    cxx = n * sxx - sx * sx
+    cxy = n * sxy - sx * sy
+    cyy = n * syy - sy * sy
+    if cxx == 0:
+        raise ValueError("a line fit needs at least 2 distinct x values")
+    slope = cxy / cxx
+    intercept = (sy * sxx - sx * sxy) / (scale * cxx)
+    r_squared = 1.0 if cyy == 0 else cxy * cxy / (cxx * cyy)
+    rms = math.sqrt((cxx * cyy - cxy * cxy) / (n * n * cxx * scale * scale))
+    return slope, intercept, r_squared, rms
 
 
 def fit_lightcone(
@@ -272,13 +295,15 @@ def fit_lightcone(
     n_arrivals = len(arrivals)
     if n_arrivals < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} arrival points, got {n_arrivals}")
-    ds = np.array([a.d for a in arrivals], dtype=float)
-    ts = np.array([a.time for a in arrivals], dtype=float)
-    if ds.min() <= 0 or ds.max() / ds.min() < MIN_DISTANCE_RATIO:
+    ds = [float(a.d) for a in arrivals]
+    ts = [a.time for a in arrivals]
+    if min(ds) <= 0 or max(ds) / min(ds) < MIN_DISTANCE_RATIO:
         raise ValueError(
             f"arrival distances must span a ratio >= {MIN_DISTANCE_RATIO}, "
-            f"got [{ds.min():g}, {ds.max():g}]"
+            f"got [{min(ds):g}, {max(ds):g}]"
         )
+    if len(set(ts)) < 2:
+        raise ValueError("arrival times must not all be equal")
     velocity, front_offset, r_squared, residual_rms = _line_fit(ts, ds)
 
     decay_length = amplitude = math.nan
@@ -287,21 +312,22 @@ def fit_lightcone(
         n_profile = len(profile)
         if n_profile < MIN_POINTS:
             raise ValueError(f"need at least {MIN_POINTS} profile points, got {n_profile}")
-        ts_p = np.array([p[0] for p in profile], dtype=float)
-        ds_p = np.array([p[1] for p in profile], dtype=float)
-        values = np.array([p[2] for p in profile], dtype=float)
-        if np.any(values <= 0):
+        ts_p = [float(p[0]) for p in profile]
+        ds_p = [float(p[1]) for p in profile]
+        values = [float(p[2]) for p in profile]
+        if any(v <= 0 for v in values):
             raise ValueError("profile bound values must be > 0 to fit the envelope")
-        if len(np.unique(ts_p)) != 1:
+        if len(set(ts_p)) != 1:
             raise ValueError("profile samples must share one time")
-        if len(np.unique(ds_p)) < 2:
+        if len(set(ds_p)) < 2:
             raise ValueError("profile needs at least 2 distinct distances")
-        slope, intercept, _, _ = _line_fit(ds_p, np.log(values / prefactor))
+        log_values = [math.log(v / prefactor) for v in values]
+        slope, intercept, _, _ = _line_fit(ds_p, log_values)
         if slope >= 0:
             raise ValueError("profile does not decay with distance; no cone to fit")
         decay_length = -1.0 / slope
         # log B = [log A + v t_ref / xi] - d / xi at the single time.
-        amplitude = math.exp(intercept + velocity * float(ts_p[0]) * slope)
+        amplitude = math.exp(intercept + velocity * ts_p[0] * slope)
 
     return LightConeFit(
         velocity=velocity,
@@ -367,8 +393,8 @@ def extract_velocity(
     analytic = optimize_kappa(couplings)
 
     half = len(arrivals) // 2
-    ts = np.array([a.time for a in arrivals])
-    ds = np.array([a.d for a in arrivals], dtype=float)
+    ts = [a.time for a in arrivals]
+    ds = [float(a.d) for a in arrivals]
     lead = _line_fit(ts[: len(arrivals) - half], ds[: len(arrivals) - half])[0]
     trail = _line_fit(ts[half:], ds[half:])[0]
 

@@ -13,6 +13,10 @@ summation code with the implementation under test.
 the two-step transfer matrix alone, in plain `math` floats; it takes no
 counts, no series and no code from the implementation under test.
 
+`exact_line_fit` is the least-squares line through float points in
+Fraction arithmetic, from centred sums and explicit residuals, each result
+rounded to float once at the end.
+
 `horizon_radius_quadrature` integrates the shrinking-dimension velocity by
 composite Gauss-Legendre quadrature, with numpy's nodes and no
 antiderivative, so it shares nothing with the closed form under test.
@@ -109,6 +113,27 @@ def saddle_velocity(
     theta = 0.5 * (lo + hi)
     a = math.sqrt(float(step_squared) * g * J)
     return a * math.sqrt(6.0 + 2.0 * math.cosh(theta)) / theta
+
+
+def exact_line_fit(xs, ys):
+    """Slope, intercept, r^2 and rms of the least-squares line y = a x + b.
+
+    Each is the float nearest its exact value for the given float points;
+    rms is math.sqrt of the float nearest ss_res / n, and r^2 is 1.0 when
+    the ys do not vary.
+    """
+    n = len(xs)
+    x = [Fraction(v) for v in xs]
+    y = [Fraction(v) for v in ys]
+    mean_x, mean_y = sum(x) / n, sum(y) / n
+    sxx = sum((a - mean_x) ** 2 for a in x)
+    sxy = sum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
+    slope = sxy / sxx
+    intercept = mean_y - slope * mean_x
+    ss_res = sum((b - slope * a - intercept) ** 2 for a, b in zip(x, y))
+    ss_tot = sum((b - mean_y) ** 2 for b in y)
+    r_squared = 1.0 if ss_tot == 0 else float(1 - ss_res / ss_tot)
+    return float(slope), float(intercept), r_squared, math.sqrt(float(ss_res / n))
 
 
 def horizon_radius_quadrature(

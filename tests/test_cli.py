@@ -251,6 +251,12 @@ def test_velocity_window_past_work_budget_exits_3_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert "hard limit" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    # The check precedes the distance list, so a window of 1e9 costs no more.
+    start = time.perf_counter()
+    code = run("velocity", "--dmin", "1", "--dmax", "1000000000", "--output", str(tmp_path / "x"))
+    assert code == cli.EXIT_NUMERIC
+    assert time.perf_counter() - start < 1.0
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lrcone.lrbound import BoundEvaluator, ConvergenceError, Couplings, DpCountSource
 from lrcone.velocity import (
     ArrivalTime,
+    _line_fit,
     analytic_velocity,
     arrival_time,
     extract_velocity,
@@ -24,7 +25,7 @@ from lrcone.velocity import (
     velocity_report_to_json_dict,
 )
 
-from reference import bisect_arrival_time
+from reference import bisect_arrival_time, exact_line_fit
 
 HALF = Couplings(g=0.5, J=0.5)
 
@@ -218,6 +219,65 @@ def test_fit_validation_errors():
         fit_lightcone(front, profile=[(1.0, 4, 0.5), (1.0, 4, 0.5), (1.0, 4, 0.5), (1.0, 4, 0.5)])
     with pytest.raises(ValueError, match="decay"):
         fit_lightcone(front, profile=[(1.0, 4, 0.1), (1.0, 6, 0.2), (1.0, 8, 0.4), (1.0, 10, 0.8)])
+    with pytest.raises(ValueError, match="arrival times must not all be equal"):
+        fit_lightcone(
+            [ArrivalTime(d=d, time=2.5, epsilon=1e-8, bound_value=1e-8, evaluations=1)
+             for d in (4, 6, 8, 10)]
+        )
+    # A subwindow of repeated distances reaches the fit with one time only.
+    with pytest.raises(ValueError, match="2 distinct x values"):
+        _line_fit([2.5, 2.5], [10.0, 10.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_lightcone(
+                [ArrivalTime(d=d, time=t, epsilon=1e-8, bound_value=1e-8, evaluations=1)
+                 for d, t in ((4, 1.0), (6, 2.0), (8, bad), (10, 4.0))]
+            )
+
+
+_SPREAD = st.builds(
+    lambda exponent, sign: sign * 10.0**exponent,
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SPREAD, _SPREAD), min_size=2, max_size=40))
+@example([(1.0, 7.0), (3.0, 7.0)])
+@example([(1e-5, 1e5), (1e5, -1e-5), (1e5, 3.0)])
+def test_line_fit_is_exact_least_squares(points):
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    assume(len(set(xs)) >= 2)
+    assert _line_fit(xs, ys) == exact_line_fit(xs, ys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_SPREAD.map(abs), st.integers(1, 100_000)), min_size=4, max_size=40),
+    st.lists(st.floats(min_value=-50.0, max_value=0.0), min_size=4, max_size=40),
+)
+def test_fit_lightcone_is_exact_least_squares(front, log_profile):
+    ds = [d for _, d in front]
+    times = [t for t, _ in front]
+    assume(max(ds) >= 2 * min(ds) and len(set(times)) >= 2)
+    arrivals = [
+        ArrivalTime(d=d, time=t, epsilon=1e-8, bound_value=1e-8, evaluations=1) for t, d in front
+    ]
+    profile = [(1.5, 4 + 2 * k, math.exp(v)) for k, v in enumerate(log_profile)]
+    profile_slope = exact_line_fit(
+        [float(p[1]) for p in profile], [math.log(p[2] / 2.0) for p in profile]
+    )[0]
+    assume(profile_slope < 0)
+    fit = fit_lightcone(arrivals)
+    velocity, offset, r_squared, rms = exact_line_fit(times, [float(d) for d in ds])
+    assert (fit.velocity, fit.front_offset, fit.r_squared, fit.residual_rms) == (
+        velocity, offset, r_squared, rms
+    )
+    # A fixed front keeps the amplitude, exp of the profile line near its
+    # first distance, inside the float range.
+    front_3 = _synthetic_arrivals(3.0, 2.0, range(4, 13, 2))
+    assert fit_lightcone(front_3, profile, prefactor=2.0).decay_length == -1.0 / profile_slope
 
 
 # ---------------------------------------------------------------------------
