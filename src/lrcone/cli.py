@@ -48,8 +48,9 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_NUMERIC = 3
 
-# Largest --nmax and --d entry of `count`: its O(n_max^3) grid dynamic program
-# takes 48 s at 512 on a 2-core VM.  A d above n_max / 2 only adds zero counts.
+# Largest --nmax and --d entry of `count`: at 512 it takes about 5 s on a 2-core
+# VM, 3 s of it the O(n_max^3) grid dynamic program.  A d above n_max / 2 only
+# adds zero counts.
 COUNT_LIMIT = 512
 
 # Largest `horizon --steps` and `scan-dim --num`, both row counts: 1e6

@@ -12,12 +12,10 @@ allowed.  Three count sources exist:
 
       counts(n + 1, v) = sum over u adjacent to v of counts(n, u)
 
-  with exact Python integers (numpy object arrays keep the arithmetic exact
-  while the loops run at C speed), on a built lattice (`count_walks_dp`) or
-  on the implicit infinite plane (`axis_walk_counts`).  It is the
-  independent oracle the closed form is tested against, and the reference
-  `lrcone count` audits the paper's formula against.  These two functions
-  import numpy when called; nothing else in the package loads it.
+  with exact Python integers, on a built lattice (`count_walks_dp`) or on
+  one folded quadrant of the implicit infinite plane (`axis_walk_counts`).
+  It is the independent oracle the closed form is tested against, and the
+  reference `lrcone count` audits the paper's formula against.
 * the paper's literal binomial expression (`count_walks_closed_form`),
   compared entry-by-entry against the dynamic program; every discrepancy is
   collected into a machine-readable fidelity report.
@@ -109,7 +107,6 @@ def count_walks_dp(
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     check_extent_guard(lattice, origin, n_max)
-    import numpy as np
 
     n_vertices = lattice.n_vertices
     if targets is None:
@@ -120,30 +117,21 @@ def count_walks_dp(
             )
         targets = range(n_vertices)
 
-    max_degree = max((lattice.degree(v) for v in range(n_vertices)), default=0)
-    # Sentinel column n_vertices points at a permanently-zero slot so that the
-    # gather-and-sum below needs no per-vertex degree bookkeeping.
-    nbr = np.full((n_vertices, max(max_degree, 1)), n_vertices, dtype=np.int64)
-    for v in range(n_vertices):
-        for slot, w in enumerate(lattice.neighbors[v]):
-            nbr[v, slot] = w
-
-    vec = np.zeros(n_vertices + 1, dtype=object)
+    vec = [0] * n_vertices
     vec[origin] = 1
 
     per_target: dict[int, list[int]] = {}
     for q in targets:
         if not (0 <= q < n_vertices):
             raise ValueError(f"target {q} out of range [0, {n_vertices})")
-        per_target[int(q)] = [int(vec[q])]
+        per_target[int(q)] = [vec[q]]
     totals = [1]
 
     for _ in range(n_max):
-        new = vec[nbr].sum(axis=1)
-        vec = np.concatenate([new, np.zeros(1, dtype=object)])
-        totals.append(int(new.sum()))
+        vec = [sum(vec[w] for w in nbrs) for nbrs in lattice.neighbors]
+        totals.append(sum(vec))
         for q, acc in per_target.items():
-            acc.append(int(new[q]))
+            acc.append(vec[q])
 
     return PathCountTable(
         lattice_spec=lattice.spec,
@@ -191,9 +179,9 @@ class AxisWalkCounts:
 
     counts[d][n] is the number of length-n walks from P to the link d grid
     steps away perpendicular to P's axis (d = 0 is P itself).  Produced by the
-    same neighbor-sum recurrence as count_walks_dp, run on a relative grid so
-    that large tables never materialise a DecoratedLattice; the two paths are
-    bit-identical where they overlap.
+    same neighbor-sum recurrence as count_walks_dp, run on one quadrant of
+    relative offsets so that large tables never materialise a
+    DecoratedLattice; the two paths are bit-identical where they overlap.
     """
 
     n_max: int
@@ -211,45 +199,40 @@ class AxisWalkCounts:
 def axis_walk_counts(n_max: int, d_max: int) -> AxisWalkCounts:
     """Exact counts for the canonical pair family on the (implicit) infinite plane.
 
-    Works on doubled offsets from the origin link; a walk of length n never
-    leaves the stored window, so the result equals the infinite-plane count
-    (the extent guard holds by construction).
+    Works on doubled offsets (i, j) from the origin link, i along its axis.
+    The counts are even in i and in j, so only the quadrant i, j >= 0 is
+    stored, with a[-1][j] read as a[1][j] and a[i][-1] as a[i][1].  After k
+    steps a walk sits on a cell with i + j <= k and i + j = k (mod 2); step k
+    rewrites just those cells from their neighbors, which step k - 1 wrote,
+    so one grid holds both layers.  No walk of length n_max leaves the grid,
+    so the result equals the infinite-plane count (the extent guard holds by
+    construction).
     """
     if n_max < 0 or d_max < 0:
         raise ValueError("n_max and d_max must be >= 0")
-    import numpy as np
 
-    size = 2 * n_max + 3
-    mid = size // 2
-    layer = np.zeros((size, size), dtype=object)
-    layer[mid, mid] = 1
-
-    # Absolute parity of the origin is (odd, even); grid sites (both-even
-    # absolute coordinates) are not vertices of G', so offsets with odd
-    # delta-x and even delta-y must stay zero.
-    di = np.arange(size)[:, None] - mid
-    dj = np.arange(size)[None, :] - mid
-    holes = ((di % 2) == 1) & ((dj % 2) == 0)
-
+    a = [[0] * (n_max + 2) for _ in range(n_max + 2)]
+    a[0][0] = 1
     # Targets beyond the window (2 d > n_max) are unreachable in n_max steps,
-    # so their whole series is zero without indexing the grid.
-    targets = [
-        (mid, mid + 2 * d) if 2 * d <= n_max else None for d in range(d_max + 1)
-    ]
-    series: list[list[int]] = [
-        [int(layer[t[0], t[1]]) if t is not None else 0] for t in targets
-    ]
+    # and every count at odd n is zero, so those entries are never written.
+    series = [[int(d == 0)] + [0] * n_max for d in range(d_max + 1)]
 
-    for _ in range(n_max):
-        new = np.zeros((size, size), dtype=object)
-        new[1:, :] += layer[:-1, :]
-        new[:-1, :] += layer[1:, :]
-        new[:, 1:] += layer[:, :-1]
-        new[:, :-1] += layer[:, 1:]
-        new[holes] = 0
-        layer = new
-        for d, t in enumerate(targets):
-            series[d].append(int(layer[t[0], t[1]]) if t is not None else 0)
+    for k in range(1, n_max + 1):
+        for i in range(k + 1):
+            j0 = (k - i) % 2
+            # Absolute parity of the origin is (odd, even); grid sites
+            # (both-even absolute coordinates) are not vertices of G', so
+            # cells with odd i and even j stay zero.
+            if i % 2 and not j0:
+                continue
+            row, up, down = a[i], a[abs(i - 1)], a[i + 1]
+            row[j0 : k - i + 1 : 2] = [
+                up[j] + down[j] + row[abs(j - 1)] + row[j + 1]
+                for j in range(j0, k - i + 1, 2)
+            ]
+        if k % 2 == 0:
+            for d in range(min(d_max, k // 2) + 1):
+                series[d][k] = a[0][2 * d]
 
     return AxisWalkCounts(
         n_max=n_max,

@@ -327,7 +327,12 @@ def fit_lightcone(
             raise ValueError("profile does not decay with distance; no cone to fit")
         decay_length = -1.0 / slope
         # log B = [log A + v t_ref / xi] - d / xi at the single time.
-        amplitude = math.exp(intercept + velocity * ts_p[0] * slope)
+        try:
+            amplitude = math.exp(intercept + velocity * ts_p[0] * slope)
+        except OverflowError:
+            raise ValueError(
+                "profile and front fits disagree beyond float range; amplitude overflows"
+            ) from None
 
     return LightConeFit(
         velocity=velocity,

@@ -7,6 +7,7 @@ tmp_path via --output so no test touches the working tree.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import time
@@ -82,6 +83,35 @@ def test_count_json_format(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["columns"] == ["n", "d", "dp_count", "closed_form", "match_flag"]
     assert [2, 1, 1, 0, 0] in doc["rows"]
+
+
+# sha256 of the artifact body and its fidelity report for
+# `count --nmax 64 --d 0,1,2,3,32 --output <name>`, run in the output's
+# directory so the echoed path is the bare name.  Counts are exact integers,
+# so these bytes do not depend on libm.
+_COUNT_DIGESTS = {
+    "counts.csv": (
+        "a6862caf302ff0952f4c1b79e70bb8ef14c24d5844c07d9588ec7ddb24657585",
+        "ce54b4d002731c53ecdba0b8f08af3725ecf97d45cc105cc2310a73a658f3880",
+    ),
+    "counts.json": (
+        "2c5daa6e623b369bb9355e17978262c8659b2095c11d33936bdf444513082d4f",
+        "2149f03f58fb91ddef94bbc2ab4f5d612c4c99ae066c33e5ee61d84988351cbf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNT_DIGESTS))
+def test_count_artifact_bytes_are_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    fmt = name.rsplit(".", 1)[1]
+    argv = ["count", "--nmax", "64", "--d", "0,1,2,3,32", "--format", fmt, "--output", name]
+    assert run(*argv) == cli.EXIT_MISMATCH
+    digests = tuple(
+        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+        for f in (name, name + ".fidelity.json")
+    )
+    assert digests == _COUNT_DIGESTS[name]
 
 
 def test_count_rejects_nonplanar_dimension(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Walk counting: dynamic program, fast grid path, closed forms, crude bound.
 
 The independent oracle here is explicit walk enumeration (recursion over
-neighbor lists), which shares no code with the numpy gather-and-sum dynamic
+neighbor lists), which shares no code with the neighbor-sum dynamic
 program; the dynamic program in turn is the oracle for the per-distance
 closed-form columns the bound series uses.
 """
@@ -209,6 +209,16 @@ def test_axis_walk_counts_match_lattice_dp(lattice_2d, table_2d):
         q = perpendicular_target(lattice_2d, d)
         for n in range(11):
             assert aw.count(n, d) == table_2d.count(n, q)
+
+
+def test_axis_walk_counts_match_lattice_dp_at_longer_walks():
+    # Walks to n = 23 cross the folded quadrant's axis reflections many times.
+    lat = build_decorated_lattice(LatticeSpec(dimension=2, extent=24, boundary="periodic"))
+    targets = {d: perpendicular_target(lat, d) for d in range(12)}
+    table = count_walks_dp(lat, centered_axis_link(lat), 23, targets=list(targets.values()))
+    aw = axis_walk_counts(23, 11)
+    for d, q in targets.items():
+        assert [aw.count(n, d) for n in range(24)] == list(table.target_counts[q])
 
 
 def test_axis_walk_counts_totals_and_unreachable_targets():

@@ -224,6 +224,14 @@ def test_fit_validation_errors():
             [ArrivalTime(d=d, time=2.5, epsilon=1e-8, bound_value=1e-8, evaluations=1)
              for d in (4, 6, 8, 10)]
         )
+    # A front far from the profile puts the amplitude past float range.
+    far_front = [
+        ArrivalTime(d=d, time=t, epsilon=1e-8, bound_value=1e-8, evaluations=1)
+        for d, t in ((1, 1.0), (1, 1.0), (1, 1.0), (2840, 0.1))
+    ]
+    far_profile = [(1.5, d, 2 * math.exp(v)) for d, v in zip(range(1, 5), (0, 0, 0, -1))]
+    with pytest.raises(ValueError, match="beyond float range"):
+        fit_lightcone(far_front, profile=far_profile)
     # A subwindow of repeated distances reaches the fit with one time only.
     with pytest.raises(ValueError, match="2 distinct x values"):
         _line_fit([2.5, 2.5], [10.0, 10.0])
