@@ -5,7 +5,12 @@ Subcommands: count, bound, velocity, scan-dim, horizon.  Exit codes:
 3 numerical failure (non-convergent series or unreachable threshold).
 
 Each key of the one config table, `_CONFIG_DEFAULTS`, takes its flag, else
-its --config file value (type-checked), else its default.
+its --config file value (type-checked), else its default.  A subcommand
+registers --config and the flags of only the keys it reads: count takes
+--output and --format; bound the flags of all keys but epsilon; velocity of
+all keys but format (its report is JSON); scan-dim and horizon --g, --J,
+--step-factor, --output and --format.  horizon writes both branching
+conventions.
 
 Every output artifact embeds the resolved run configuration
 (schema_version 2) and is byte-identical across reruns; wall-clock metadata
@@ -25,16 +30,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .cosmo import (
-    BranchingConvention,
-    HorizonModel,
-    dimension_scan,
-    lightcone_rows,
-    model_to_json_dict,
-)
-
-# Not used here; perfbench's traced run (--trace 1) patches this attribute.
-from .cosmo import lightcone_boundary  # noqa: F401
+from .cosmo import HorizonModel, dimension_scan, lightcone_boundary, model_to_json_dict
 from .lrbound import DEFAULT_STEP_FACTOR, BoundEvaluator, ConvergenceError, Couplings
 from .pathcount import axis_walk_counts, compare_closed_form, fidelity_report
 from .velocity import (
@@ -53,8 +49,8 @@ EXIT_NUMERIC = 3
 # adds zero counts.
 COUNT_LIMIT = 512
 
-# Largest `horizon --steps` and `scan-dim --num`, both row counts: 1e6
-# scan-dim rows take 8 s and 200 MB on a 2-core VM.
+# Most rows of any table: `horizon --steps`, `scan-dim --num`, and the cells
+# of a `bound` grid.  1e6 scan-dim rows take 8 s and 200 MB on a 2-core VM.
 ROW_LIMIT = 100_000
 
 _DEFAULT_OUTPUTS = {
@@ -245,6 +241,9 @@ def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError(f"--t entries must be finite and >= 0, got {t_list}")
     if any(d < 0 for d in d_list):
         raise ValueError(f"--d entries must be >= 0, got {d_list}")
+    cells = len(t_list) * len(d_list)
+    if cells > ROW_LIMIT:
+        raise ValueError(f"--t and --d span {cells} cells; at most {ROW_LIMIT} are allowed")
 
     evaluator = BoundEvaluator(cfg.couplings, rel_tol=cfg.rel_tol)
     results = [evaluator.evaluate(t, d) for d in d_list for t in t_list]
@@ -316,7 +315,6 @@ def cmd_horizon(cfg: RunConfig, args: argparse.Namespace) -> int:
         D_in=args.Din,
         alpha=args.alpha,
         couplings=cfg.couplings,
-        convention=BranchingConvention(args.convention),
         mode="strict" if args.strict else "toy",
     )
     path = _output_path(cfg, "horizon")
@@ -324,7 +322,7 @@ def cmd_horizon(cfg: RunConfig, args: argparse.Namespace) -> int:
         path,
         cfg.format,
         ["t", "r_axis_pairs", "r_degrees"],
-        lightcone_rows(model, 0.0, args.tf, args.steps),
+        lightcone_boundary(model, 0.0, args.tf, args.steps),
         {**_echo(cfg), "model": model_to_json_dict(model)},
     )
     _write_sidecar(path)
@@ -346,16 +344,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_NUMBER_HELP = {
+    "g": "rotor charging coupling", "J": "plaquette coupling", "epsilon": "arrival threshold",
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, keys: str) -> None:
+    """--config, then one flag for each config key the command reads.
+
+    Each flag's dest is its key; keys without a flag keep their config-file
+    value or default in resolve_config.
+    """
     parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--g", type=float, help="rotor charging coupling")
-    parser.add_argument("--J", type=float, help="plaquette coupling")
-    parser.add_argument("--origin-norm", dest="origin_norm", type=float)
-    parser.add_argument("--probe-norm", dest="probe_norm", type=float)
-    parser.add_argument("--step-factor", dest="step_factor", type=float)
-    parser.add_argument("--rel-tol", dest="rel_tol", type=float)
-    parser.add_argument("--output", dest="path", help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
+    for key in keys.split():
+        if key == "path":
+            parser.add_argument("--output", dest="path", help="output file path")
+        elif key == "format":
+            parser.add_argument("--format", choices=("csv", "json"), help="output format")
+        else:
+            flag = "--" + key.replace("_", "-")
+            parser.add_argument(flag, dest=key, type=float, help=_NUMBER_HELP.get(key))
 
 
 def build_parser() -> _Parser:
@@ -363,43 +371,37 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_count = sub.add_parser("count", help="exact walk counts versus the closed form")
-    _add_common(p_count)
+    _add_config_flags(p_count, "path format")
     p_count.add_argument("--nmax", type=int, default=20)
     p_count.add_argument("--d", default="1,2,3", help="comma-separated distances")
     p_count.set_defaults(func=cmd_count)
 
     p_bound = sub.add_parser("bound", help="evaluate the bound on a (t, d) grid")
-    _add_common(p_bound)
+    _add_config_flags(p_bound, "g J origin_norm probe_norm step_factor rel_tol path format")
     p_bound.add_argument("--t", default="0.5,1.0,1.5,2.0,2.5", help="comma-separated times")
     p_bound.add_argument("--d", default="2,4,6,8,10", help="comma-separated distances")
     p_bound.set_defaults(func=cmd_bound)
 
     p_vel = sub.add_parser("velocity", help="arrival-time light-cone velocity fit")
-    _add_common(p_vel)
-    p_vel.add_argument("--epsilon", type=float, help="arrival threshold")
+    _add_config_flags(p_vel, "g J origin_norm probe_norm step_factor rel_tol epsilon path")
     p_vel.add_argument("--dmin", type=int, default=10)
     p_vel.add_argument("--dmax", type=int, default=40)
     p_vel.add_argument("--dstep", type=int, default=2)
     p_vel.set_defaults(func=cmd_velocity)
 
     p_scan = sub.add_parser("scan-dim", help="velocity versus lattice dimension")
-    _add_common(p_scan)
+    _add_config_flags(p_scan, "g J step_factor path format")
     p_scan.add_argument("--dim-min", dest="dim_min", type=float, default=2.0)
     p_scan.add_argument("--dim-max", dest="dim_max", type=float, default=64.0)
     p_scan.add_argument("--num", type=int, default=32)
     p_scan.set_defaults(func=cmd_scan_dim)
 
     p_hor = sub.add_parser("horizon", help="shrinking-dimension light-cone profile")
-    _add_common(p_hor)
+    _add_config_flags(p_hor, "g J step_factor path format")
     p_hor.add_argument("--Din", type=float, default=100.0)
     p_hor.add_argument("--alpha", type=float, default=0.01)
     p_hor.add_argument("--tf", type=float, default=50.0)
     p_hor.add_argument("--steps", type=int, default=101)
-    p_hor.add_argument(
-        "--convention",
-        choices=[c.value for c in BranchingConvention],
-        default=BranchingConvention.AXIS_PAIRS.value,
-    )
     p_hor.add_argument("--strict", action="store_true", help="reject D(t) < 2")
     p_hor.set_defaults(func=cmd_horizon)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .lrbound import Couplings
@@ -67,7 +67,10 @@ def v_lr_dimension(
     if D < PLAQUETTE_THRESHOLD:
         raise ValueError(f"D = {D} is below the plaquette threshold {PLAQUETTE_THRESHOLD}")
     b = branching_factor(D, convention)
-    return couplings.step_factor * (math.e / 2.0) * math.sqrt(b * couplings.g * couplings.J)
+    v = couplings.step_factor * (math.e / 2.0) * math.sqrt(b * couplings.g * couplings.J)
+    if not math.isfinite(v):
+        raise ValueError(f"the velocity at D = {D} is past the float range")
+    return v
 
 
 @dataclass(frozen=True)
@@ -144,14 +147,14 @@ def _mean_root_branching(
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def horizon_distance(model: HorizonModel, t_i: float, t_f: float) -> float:
-    """Integral of the dimension-dependent velocity over [t_i, t_f], in closed form.
+def _swept_dimensions(
+    model: HorizonModel, t_i: float, t_f: float
+) -> tuple[float, float, float] | None:
+    """Check [t_i, t_f] against the model and clip it to where D(t) >= 2.
 
-    D(t) is linear in t, so the integral is the duration times the mean
-    velocity over the D-interval swept (`_mean_root_branching`); alpha = 0
-    sweeps a single D and gives the linear cone.  In toy mode the velocity
-    vanishes once D(t) drops below the plaquette threshold, so the interval is
-    cut there.
+    Returns (D_lo, D_hi, duration) of the clipped part, or None where the
+    velocity is zero throughout.  D(t) is monotone, so checking t_f checks
+    the whole interval.
     """
     if not (math.isfinite(t_i) and math.isfinite(t_f)):
         raise ValueError(f"t_i and t_f must be finite, got t_i = {t_i}, t_f = {t_f}")
@@ -169,23 +172,53 @@ def horizon_distance(model: HorizonModel, t_i: float, t_f: float) -> float:
             f"threshold crossing is at t = {model.time_at_dimension(PLAQUETTE_THRESHOLD)}"
         )
     if t_f == t_i:
-        return 0.0
+        return None
 
-    # Clip to the region where the velocity is nonzero, D(t) >= 2.  With
-    # alpha = 0 that is all or nothing: at D_in = 2 exactly, D never drops
-    # below the threshold, although time_at_dimension(2) reads 0.
+    # With alpha = 0 the clip is all or nothing: at D_in = 2 exactly, D never
+    # drops below the threshold, although time_at_dimension(2) reads 0.
     if model.D_in < PLAQUETTE_THRESHOLD:
-        return 0.0
+        return None
     if model.alpha == 0.0:
         t_stop = t_f
     else:
         t_stop = min(t_f, model.time_at_dimension(PLAQUETTE_THRESHOLD))
     if t_stop <= t_i:
-        return 0.0
+        return None
     D_lo = max(model.dimension(t_stop), PLAQUETTE_THRESHOLD)
-    mean = _mean_root_branching(D_lo, model.dimension(t_i), model.convention)
+    return D_lo, model.dimension(t_i), t_stop - t_i
+
+
+def _swept_distance(
+    model: HorizonModel,
+    swept: tuple[float, float, float] | None,
+    convention: BranchingConvention,
+) -> float:
+    """Duration times mean velocity over a `_swept_dimensions` interval."""
+    if swept is None:
+        return 0.0
+    D_lo, D_hi, duration = swept
+    mean = _mean_root_branching(D_lo, D_hi, convention)
     c = model.couplings
-    return c.step_factor * (math.e / 2.0) * math.sqrt(c.g * c.J) * mean * (t_stop - t_i)
+    return c.step_factor * (math.e / 2.0) * math.sqrt(c.g * c.J) * mean * duration
+
+
+def _finite_radius(r: float) -> float:
+    if not math.isfinite(r):
+        raise ValueError(f"the horizon radius is past the float range, got {r}")
+    return r
+
+
+def horizon_distance(model: HorizonModel, t_i: float, t_f: float) -> float:
+    """Integral of the dimension-dependent velocity over [t_i, t_f], in closed form.
+
+    D(t) is linear in t, so the integral is the duration times the mean
+    velocity over the D-interval swept (`_mean_root_branching`); alpha = 0
+    sweeps a single D and gives the linear cone.  In toy mode the velocity
+    vanishes once D(t) drops below the plaquette threshold, so the interval is
+    cut there.  A radius past the float range is refused.
+    """
+    swept = _swept_dimensions(model, t_i, t_f)
+    return _finite_radius(_swept_distance(model, swept, model.convention))
 
 
 def lightcone_boundary(
@@ -193,44 +226,36 @@ def lightcone_boundary(
     t_start: float,
     t_end: float,
     steps: int,
-) -> list[tuple[float, float]]:
-    """Horizon radius r(t_k) on a uniform grid of `steps` samples.
+) -> list[tuple[float, float, float]]:
+    """Rows (t_k, r_axis_pairs, r_degrees) on a uniform grid of `steps` samples.
 
-    r is accumulated panel by panel, so monotonicity holds by construction
-    and each sample equals horizon_distance(model, t_start, t_k) up to
-    rounding.
+    Both conventions are sampled whatever the model's convention field, so
+    the discrepancy is visible in every output.  Each panel is checked and
+    clipped once, and each radius is accumulated panel by panel from
+    horizon_distance's expression, so monotonicity holds by construction and
+    each sample equals horizon_distance(model, t_start, t_k) up to rounding.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if t_end < t_start:
         raise ValueError(f"need t_start <= t_end, got {t_start}, {t_end}")
     # Validates the whole interval up front (monotone D: endpoint suffices).
-    horizon_distance(model, t_start, t_end)
+    _swept_dimensions(model, t_start, t_end)
 
     # The last sample is t_end itself: the grid formula can round past it.
     times = [t_start + (t_end - t_start) * k / (steps - 1) for k in range(steps - 1)]
     times.append(t_end)
-    samples = [(times[0], 0.0)]
-    total = 0.0
+    rows = [(times[0], 0.0, 0.0)]
+    r_axis = r_deg = 0.0
     for t_prev, t_next in zip(times, times[1:]):
-        total += horizon_distance(model, t_prev, t_next)
-        samples.append((t_next, total))
-    return samples
-
-
-def lightcone_rows(
-    model: HorizonModel, t_start: float, t_end: float, steps: int
-) -> list[tuple[float, float, float]]:
-    """Rows of (t, r_axis_pairs, r_degrees) on one grid.
-
-    Both conventions are sampled regardless of the model's own convention
-    field, so the discrepancy is visible in every output.
-    """
-    axis_pairs, degrees = (
-        lightcone_boundary(replace(model, convention=conv), t_start, t_end, steps)
-        for conv in (BranchingConvention.AXIS_PAIRS, BranchingConvention.DEGREES)
-    )
-    return [(t, r_axis, r_deg) for (t, r_axis), (_, r_deg) in zip(axis_pairs, degrees)]
+        swept = _swept_dimensions(model, t_prev, t_next)
+        r_axis += _swept_distance(model, swept, BranchingConvention.AXIS_PAIRS)
+        r_deg += _swept_distance(model, swept, BranchingConvention.DEGREES)
+        rows.append((t_next, r_axis, r_deg))
+    # Sums keep an inf or nan panel, so checking the last row checks them all.
+    _finite_radius(r_axis)
+    _finite_radius(r_deg)
+    return rows
 
 
 def model_to_json_dict(model: HorizonModel) -> dict:

@@ -108,6 +108,14 @@ class Couplings:
             raise ValueError(f"probe_norm must be finite and > 0, got {self.probe_norm}")
         if not (0.0 < self.step_factor <= 2.0):
             raise ValueError(f"step_factor must lie in (0, 2], got {self.step_factor}")
+        # The cone velocity takes sqrt(8 g J) and every series term log(g J),
+        # so 8 g J must be finite and g J a normal float.
+        gJ = self.g * self.J
+        if not (sys.float_info.min <= gJ and math.isfinite(8.0 * gJ)):
+            raise ValueError(
+                f"g*J must lie in [{sys.float_info.min}, {sys.float_info.max / 8}], "
+                f"got g*J = {gJ} (g = {self.g}, J = {self.J})"
+            )
 
     @property
     def coupling_speed(self) -> float:

@@ -6,6 +6,7 @@ tmp_path via --output so no test touches the working tree.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
@@ -19,7 +20,6 @@ from lrcone.cosmo import (
     BranchingConvention,
     HorizonModel,
     lightcone_boundary,
-    lightcone_rows,
     model_to_json_dict,
     v_lr_dimension,
 )
@@ -187,6 +187,17 @@ def test_bound_usage_errors(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bound_grid_past_row_limit_exits_1_without_artifact(tmp_path, capsys):
+    # 317 x 316 = 100,172 cells, just past ROW_LIMIT; none is evaluated.
+    t_arg = ",".join(str(0.01 * k) for k in range(317))
+    d_arg = ",".join(str(d) for d in range(316))
+    start = time.perf_counter()
+    assert run("bound", "--t", t_arg, "--d", d_arg, "--output", str(tmp_path / "x")) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "100172 cells" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -263,9 +274,15 @@ def test_velocity_defaults_reproduce_headline_configuration():
 
 
 def test_velocity_rejects_csv_format(tmp_path, capsys):
-    code = run("velocity", "--format", "csv", "--output", str(tmp_path / "x"))
+    # velocity has no --format flag; a config file can still ask for csv.
+    cfg_path = tmp_path / "csv.json"
+    cfg_path.write_text(json.dumps({"output": {"format": "csv"}}))
+    code = run("velocity", "--config", str(cfg_path), "--output", str(tmp_path / "x"))
     assert code == cli.EXIT_USAGE
     assert "JSON report" in capsys.readouterr().err
+    assert run("velocity", "--format", "json", "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["csv.json"]
 
 
 def test_velocity_bad_window(tmp_path):
@@ -319,6 +336,14 @@ def test_scan_dim_usage_errors(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_scan_dim_velocity_past_float_range_exits_1_without_artifact(tmp_path, capsys):
+    # 4 D (D - 1) overflows at D = 1e200: the axis_pairs velocity would read inf.
+    argv = ["scan-dim", "--dim-max", "1e200", "--num", "3", "--output", str(tmp_path / "x")]
+    assert run(*argv) == cli.EXIT_USAGE
+    assert "past the float range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # horizon
 # ---------------------------------------------------------------------------
@@ -337,13 +362,9 @@ def test_horizon_csv_matches_library(tmp_path):
     assert echo["model"]["D_in"] == 10.0
     assert echo["model"]["mode"] == "toy"
 
-    couplings = Couplings(g=0.5, J=0.5)
-    for conv, col in ((BranchingConvention.AXIS_PAIRS, 1), (BranchingConvention.DEGREES, 2)):
-        model = HorizonModel(D_in=10.0, alpha=0.02, couplings=couplings, convention=conv)
-        ref = lightcone_boundary(model, 0.0, 5.0, 6)
-        for (t_ref, r_ref), row in zip(ref, rows):
-            assert float(row[0]) == t_ref
-            assert float(row[col]) == pytest.approx(r_ref, rel=1e-12, abs=1e-300)
+    model = HorizonModel(D_in=10.0, alpha=0.02, couplings=Couplings(g=0.5, J=0.5))
+    ref = lightcone_boundary(model, 0.0, 5.0, 6)
+    assert [tuple(float(x) for x in row) for row in rows] == ref
 
 
 def test_horizon_csv_roundtrip(tmp_path):
@@ -359,7 +380,7 @@ def test_horizon_csv_roundtrip(tmp_path):
     assert lines[1] == "t,r_axis_pairs,r_degrees"
     assert len(lines) == 2 + 6
     parsed = [tuple(float(x) for x in line.split(",")) for line in lines[2:]]
-    assert parsed == lightcone_rows(model, 0.0, 5.0, 6)
+    assert parsed == lightcone_boundary(model, 0.0, 5.0, 6)
     # Conventions genuinely differ above D = 2 and the file shows both.
     assert all(ra > rd for _, ra, rd in parsed[1:])
     # Byte-identical determinism.
@@ -410,6 +431,15 @@ def test_horizon_non_finite_tf_exits_1_without_artifact(tmp_path, capsys, flags)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_horizon_radius_past_float_range_exits_1_without_artifact(tmp_path, capsys):
+    # u * u overflows in the axis_pairs mean at D_in = 1e300: the radius reads nan.
+    argv = ["horizon", "--Din", "1e300", "--alpha", "1e-3", "--tf", "10", "--steps", "3",
+            "--output", str(tmp_path / "x.csv")]
+    assert run(*argv) == cli.EXIT_USAGE
+    assert "past the float range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # parser-level exit codes
 # ---------------------------------------------------------------------------
@@ -430,6 +460,124 @@ def test_help_exits_0(capsys):
 def test_negative_coupling_rejected(tmp_path):
     assert run("bound", "--g", "-1", "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
     assert run("bound", "--step-factor", "3.0", "--output", str(tmp_path / "x")) == 1
+
+
+@pytest.mark.parametrize("gj", ["1e300", "1e-200"])
+@pytest.mark.parametrize(
+    "argv", [["scan-dim"], ["horizon"], ["bound", "--t", "1", "--d", "2"], ["velocity"]]
+)
+def test_coupling_product_outside_float_range_exits_1_without_artifact(tmp_path, capsys, argv, gj):
+    # g J overflows (inf rows) or underflows to 0 (zero velocities, "math domain error").
+    assert run(*argv, "--g", gj, "--J", gj, "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
+    assert "g*J" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# Base arguments per command, and for each (command, flag) the parser
+# registers, the flag's own arguments: adding them to the base changes the
+# artifact body (the config echo aside) or the exit code.  "missing/x" names a
+# directory that does not exist.
+_BASE_ARGS = {
+    "count": ["--nmax", "4", "--d", "1"],
+    "bound": ["--t", "1", "--d", "2"],
+    "velocity": ["--dmin", "2", "--dmax", "8"],
+    "scan-dim": ["--num", "3"],
+    # D(t) = 3 (1 - 0.1 t) crosses D = 2 before t_f = 5.
+    "horizon": ["--Din", "3", "--alpha", "0.1", "--tf", "5", "--steps", "4"],
+}
+_FLAG_ARGS = {
+    ("count", "--config"): ["--config", "json.cfg"],
+    ("count", "--output"): ["--output", "missing/x"],
+    ("count", "--format"): ["--format", "json"],
+    ("count", "--nmax"): ["--nmax", "6"],
+    ("count", "--d"): ["--d", "2"],
+    ("bound", "--config"): ["--config", "g.cfg"],
+    ("bound", "--g"): ["--g", "0.7"],
+    ("bound", "--J"): ["--J", "0.7"],
+    ("bound", "--origin-norm"): ["--origin-norm", "2"],
+    ("bound", "--probe-norm"): ["--probe-norm", "2"],
+    ("bound", "--step-factor"): ["--step-factor", "1"],
+    ("bound", "--rel-tol"): ["--rel-tol", "1e-3"],
+    ("bound", "--output"): ["--output", "missing/x"],
+    ("bound", "--format"): ["--format", "json"],
+    ("bound", "--t"): ["--t", "2"],
+    ("bound", "--d"): ["--d", "4"],
+    ("velocity", "--config"): ["--config", "g.cfg"],
+    ("velocity", "--g"): ["--g", "0.7"],
+    ("velocity", "--J"): ["--J", "0.7"],
+    ("velocity", "--origin-norm"): ["--origin-norm", "2"],
+    ("velocity", "--probe-norm"): ["--probe-norm", "2"],
+    ("velocity", "--step-factor"): ["--step-factor", "1"],
+    ("velocity", "--rel-tol"): ["--rel-tol", "1e-3"],
+    ("velocity", "--epsilon"): ["--epsilon", "1e-6"],
+    ("velocity", "--output"): ["--output", "missing/x"],
+    ("velocity", "--dmin"): ["--dmin", "4"],
+    ("velocity", "--dmax"): ["--dmax", "10"],
+    ("velocity", "--dstep"): ["--dstep", "1"],
+    ("scan-dim", "--config"): ["--config", "g.cfg"],
+    ("scan-dim", "--g"): ["--g", "0.7"],
+    ("scan-dim", "--J"): ["--J", "0.7"],
+    ("scan-dim", "--step-factor"): ["--step-factor", "1"],
+    ("scan-dim", "--output"): ["--output", "missing/x"],
+    ("scan-dim", "--format"): ["--format", "json"],
+    ("scan-dim", "--dim-min"): ["--dim-min", "3"],
+    ("scan-dim", "--dim-max"): ["--dim-max", "8"],
+    ("scan-dim", "--num"): ["--num", "4"],
+    ("horizon", "--config"): ["--config", "g.cfg"],
+    ("horizon", "--g"): ["--g", "0.7"],
+    ("horizon", "--J"): ["--J", "0.7"],
+    ("horizon", "--step-factor"): ["--step-factor", "1"],
+    ("horizon", "--output"): ["--output", "missing/x"],
+    ("horizon", "--format"): ["--format", "json"],
+    ("horizon", "--Din"): ["--Din", "4"],
+    ("horizon", "--alpha"): ["--alpha", "0.05"],
+    ("horizon", "--tf"): ["--tf", "4"],
+    ("horizon", "--steps"): ["--steps", "5"],
+    ("horizon", "--strict"): ["--strict"],
+}
+
+
+def _registered_flags() -> set[tuple[str, str]]:
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        (command, flag)
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+
+
+def test_flag_table_covers_exactly_the_registered_flags():
+    assert set(_FLAG_ARGS) == _registered_flags()
+    assert len(_FLAG_ARGS) == 48
+
+
+def _body_without_echo(path):
+    """CSV rows after the "# config:" line, or the JSON document minus its echo."""
+    if not path.exists():
+        return None
+    text = path.read_text()
+    if text.startswith("# config: "):
+        return text.split("\n", 1)[1]
+    doc = json.loads(text)
+    for key in ("config", "model", "schema_version"):
+        doc.pop(key, None)
+    return doc
+
+
+@pytest.mark.parametrize("command,flag", list(_FLAG_ARGS))
+def test_every_flag_changes_the_body_or_the_exit_code(tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "json.cfg").write_text(json.dumps({"output": {"format": "json"}}))
+    (tmp_path / "g.cfg").write_text(json.dumps({"couplings": {"g": 0.7}}))
+    base = _BASE_ARGS[command]
+    code = run(command, "--output", "base.out", *base)
+    flagged = run(command, "--output", "flag.out", *base, *_FLAG_ARGS[command, flag])
+    assert (code, _body_without_echo(tmp_path / "base.out")) != (
+        flagged, _body_without_echo(tmp_path / "flag.out")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +619,9 @@ def test_echoed_config_reproduces_run(tmp_path):
 
 
 # The config echo, byte for byte, at the defaults and with a config file that
-# sets part of every section while --g overrides its g.  Only the echo is
-# pinned: numeric bodies pass through libm and may differ in the last bit.
+# sets part of every section while --g overrides its g (count has no --g, so
+# its echo keeps the file's g).  Only the echo is pinned: numeric bodies pass
+# through libm and may differ in the last bit.
 _PINNED_CONFIG = {
     "couplings": {"g": 0.7, "J": 0.3, "origin_norm": 2.0},
     "tolerances": {"rel_tol": 1e-9, "epsilon": 1e-6},
@@ -506,7 +655,12 @@ _PINNED_ECHOES = {
         '"g": 0.5, "origin_norm": 1.0, "probe_norm": 1.0, "step_factor": 1.4142135623730951}, '
         '"mode": "toy"}, "schema_version": 2}'
     ),
-    (True, "count"): _CSV_ECHO_CONFIG,
+    (True, "count"): (
+        '# config: {"config": {"couplings": {"J": 0.3, "g": 0.7, "origin_norm": 2.0, '
+        '"probe_norm": 1.0, "step_factor": 1.4142135623730951}, "output": {"format": "csv", '
+        '"path": "configured.out"}, "tolerances": {"epsilon": 1e-06, "rel_tol": 1e-09}}, '
+        '"schema_version": 2}'
+    ),
     (True, "bound"): _CSV_ECHO_CONFIG,
     (True, "scan-dim"): _CSV_ECHO_CONFIG,
     (True, "velocity"): (
@@ -542,7 +696,7 @@ def test_config_echo_bytes_are_pinned(tmp_path, monkeypatch, command, with_confi
     if with_config:
         with open("run_config.json", "w") as fh:
             json.dump(_PINNED_CONFIG, fh)
-        argv += ["--config", "run_config.json", "--g", "0.9"]
+        argv += ["--config", "run_config.json"] + (["--g", "0.9"] if command != "count" else [])
     assert run(*argv) == (cli.EXIT_MISMATCH if command == "count" else cli.EXIT_OK)
     with open("configured.out" if with_config else _DEFAULT_NAMES[command]) as fh:
         if command == "velocity":

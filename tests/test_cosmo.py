@@ -1,5 +1,6 @@
 """Dimension-dependent velocity and the shrinking-dimension horizon model."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -101,6 +102,15 @@ def test_strict_and_toy_modes_below_threshold():
         v_lr_dimension(math.inf, HALF, AXIS)
 
 
+def test_velocity_past_float_range_is_refused():
+    # b = 4 D (D - 1) overflows at D = 1e200; 8 (D - 1) does not.
+    with pytest.raises(ValueError, match="past the float range"):
+        v_lr_dimension(1e200, HALF, AXIS)
+    assert math.isfinite(v_lr_dimension(1e200, HALF, DEG))
+    with pytest.raises(ValueError, match="past the float range"):
+        dimension_scan([2.0, 1e200], HALF)
+
+
 def test_dimension_scan_rows():
     rows = dimension_scan([2, 3, 10], HALF)
     assert [r[0] for r in rows] == [2.0, 3.0, 10.0]
@@ -200,16 +210,18 @@ def test_lightcone_boundary_shape_and_monotonicity():
     m = HorizonModel(D_in=6.0, alpha=0.02, couplings=HALF)
     samples = lightcone_boundary(m, 0.0, 10.0, 21)
     assert len(samples) == 21
-    assert samples[0] == (0.0, 0.0)
-    radii = [r for _, r in samples]
-    assert all(b >= a for a, b in zip(radii, radii[1:]))
-    assert radii[-1] == pytest.approx(horizon_distance(m, 0.0, 10.0), rel=1e-9)
+    assert samples[0] == (0.0, 0.0, 0.0)
+    for col, conv in ((1, AXIS), (2, DEG)):
+        radii = [row[col] for row in samples]
+        assert all(b >= a for a, b in zip(radii, radii[1:]))
+        r_end = horizon_distance(dataclasses.replace(m, convention=conv), 0.0, 10.0)
+        assert radii[-1] == pytest.approx(r_end, rel=1e-9)
 
 
 def test_lightcone_boundary_linear_when_alpha_zero():
     m = HorizonModel(D_in=5.0, alpha=0.0, couplings=HALF)
     v5 = v_lr_dimension(5.0, HALF, AXIS)
-    for t, r in lightcone_boundary(m, 0.0, 6.0, 13):
+    for t, r, _ in lightcone_boundary(m, 0.0, 6.0, 13):
         assert r == pytest.approx(v5 * t, rel=1e-8, abs=1e-12)
 
 
@@ -218,7 +230,22 @@ def test_lightcone_boundary_ends_exactly_at_t_end():
     m = HorizonModel(D_in=2.0, alpha=0.03813175971493311, couplings=HALF)
     t_end = 13.112429212234616
     samples = lightcone_boundary(m, 0.0, t_end, 24)
-    assert samples[-1] == (t_end, 0.0)
+    assert samples[-1] == (t_end, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "D_in,alpha,t_end",
+    [
+        (1e300, 1e-3, 10.0),  # u * u overflows in the axis_pairs mean: nan
+        (1e150, 0.0, 1e158),  # each of two panels is finite, their sum is not
+    ],
+)
+def test_horizon_radius_past_float_range_is_refused(D_in, alpha, t_end):
+    m = HorizonModel(D_in=D_in, alpha=alpha, couplings=HALF)
+    with pytest.raises(ValueError, match="past the float range"):
+        horizon_distance(m, 0.0, t_end)
+    with pytest.raises(ValueError, match="past the float range"):
+        lightcone_boundary(m, 0.0, t_end, 3)
 
 
 def test_lightcone_boundary_validation():
@@ -276,6 +303,48 @@ def test_horizon_distance_matches_quadrature(case):
 @settings(max_examples=100, deadline=None)
 def test_lightcone_boundary_monotone_and_ends_at_horizon_distance(case, steps):
     model, _, t_end = case
-    radii = [r for _, r in lightcone_boundary(model, 0.0, t_end, steps)]
+    col = 1 if model.convention is AXIS else 2
+    radii = [row[col] for row in lightcone_boundary(model, 0.0, t_end, steps)]
     assert all(b >= a for a, b in zip(radii, radii[1:]))
     assert radii[-1] == pytest.approx(horizon_distance(model, 0.0, t_end), rel=1e-12, abs=1e-300)
+
+
+def _two_pass_rows(model, t_start, t_end, steps):
+    """Rows as one accumulation of horizon_distance per convention, over the
+    panels lightcone_boundary uses."""
+    times = [t_start + (t_end - t_start) * k / (steps - 1) for k in range(steps - 1)]
+    times.append(t_end)
+    columns = []
+    for convention in (AXIS, DEG):
+        m = dataclasses.replace(model, convention=convention)
+        total, column = 0.0, [0.0]
+        for t_prev, t_next in zip(times, times[1:]):
+            total += horizon_distance(m, t_prev, t_next)
+            column.append(total)
+        columns.append(column)
+    return list(zip(times, *columns))
+
+
+def _bits_or_refusal(rows_of):
+    try:
+        return [tuple(x.hex() for x in row) for row in rows_of()]
+    except ValueError:
+        return "refused"
+
+
+@given(
+    D_in=st.floats(min_value=1.0, max_value=1e9),
+    alpha=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.1, exclude_min=True)),
+    mode=st.sampled_from(["toy", "strict"]),
+    reach=st.floats(min_value=0.0, max_value=1.0),
+    steps=st.integers(min_value=2, max_value=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_lightcone_boundary_rows_equal_two_pass_oracle(D_in, alpha, mode, reach, steps):
+    # t_end runs past the D = 1 crossing, and strict models cross D = 2, so
+    # refusals are covered too.
+    model = HorizonModel(D_in=D_in, alpha=alpha, couplings=HALF, mode=mode)
+    t_end = reach * min(1.5 * model.time_at_dimension(1.0), 1e6)
+    assert _bits_or_refusal(lambda: lightcone_boundary(model, 0.0, t_end, steps)) == (
+        _bits_or_refusal(lambda: _two_pass_rows(model, 0.0, t_end, steps))
+    )

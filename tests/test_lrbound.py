@@ -71,6 +71,19 @@ def test_couplings_validation(kwargs):
         Couplings(**kwargs)
 
 
+@pytest.mark.parametrize("g,J", [(1e300, 1e300), (1e-200, 1e-200), (1e155, 1e154), (1e-160, 1e-150)])
+def test_couplings_refuse_a_product_outside_float_range(g, J):
+    # 8 g J must be finite and g J a normal float: past either end the
+    # velocities read inf or 0 and log(g J) fails.
+    with pytest.raises(ValueError, match=r"g\*J"):
+        Couplings(g=g, J=J)
+
+
+def test_couplings_accept_the_ends_of_the_product_range():
+    Couplings(g=sys.float_info.min, J=1.0)
+    Couplings(g=sys.float_info.max / 8, J=1.0)
+
+
 # ---------------------------------------------------------------------------
 # Term and tail building blocks.
 # ---------------------------------------------------------------------------
