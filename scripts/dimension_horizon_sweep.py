@@ -20,7 +20,7 @@ import pathlib
 import sys
 
 from lrcone.cli import main as lrcone
-from lrcone.cosmo import HorizonModel
+from lrcone.cosmo import PLAQUETTE_THRESHOLD, v_lr_dimension
 from lrcone.lrbound import Couplings
 
 
@@ -61,9 +61,12 @@ def main() -> None:
     samples = run(["horizon", *couplings, "--Din", repr(args.Din), "--alpha", repr(args.alpha),
                    "--tf", repr(args.tf), "--steps", str(args.steps)], cone_path)
     print(f"\nhorizon profile D(t) = {args.Din} (1 - {args.alpha} t) -> {cone_path}")
-    model = HorizonModel(D_in=args.Din, alpha=args.alpha, couplings=Couplings(g=args.g, J=args.J))
+    # The straight cone keeps the initial velocity, which toy mode takes as 0 below D = 2.
+    v_in = 0.0
+    if args.Din >= PLAQUETTE_THRESHOLD:
+        v_in = v_lr_dimension(args.Din, Couplings(g=args.g, J=args.J))
     for t, r_axis, _ in samples[:: max(1, len(samples) // 5)]:
-        linear = model.velocity(0.0) * t
+        linear = v_in * t
         print(f"  t = {t:7.2f}   r = {r_axis:14.2f}   straight-cone r = {linear:14.2f}")
 
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Measure the arrival-time front velocity and compare it to the certificate.
 
-Runs the arrival-time pipeline over a distance window for one or more
-thresholds and prints, per threshold: the fitted front velocity, the
-certified dominating-cone velocity, their ratio, and the first/second-half
-subwindow slopes (a quick drift diagnostic).  The measured front sits well
+Runs `lrcone velocity` over a distance window for one or more thresholds and
+prints, per threshold: the fitted front velocity, the certified
+dominating-cone velocity, their ratio, and the first/second-half subwindow
+slopes (a quick drift diagnostic).  Each report is written by `lrcone` itself,
+so it carries the config echo that replays it.  The measured front sits well
 inside the certified cone; the gap is the point of the experiment.
 
 Usage:
@@ -16,9 +17,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
+import sys
+import tempfile
 
-from lrcone.lrbound import BoundEvaluator, Couplings, DpCountSource
-from lrcone.velocity import analytic_velocity, extract_velocity, velocity_report_to_json_dict
+from lrcone.cli import main as lrcone
+
+
+def run(argv: list[str], path: pathlib.Path) -> dict:
+    """Run `lrcone velocity` into the report at path and read it back."""
+    code = lrcone(["velocity", *argv, "--output", str(path)])
+    if code != 0:
+        sys.exit(code)
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def main() -> None:
@@ -34,38 +46,30 @@ def main() -> None:
     parser.add_argument("--json-out", help="optional path for the last report as JSON")
     args = parser.parse_args()
 
-    couplings = Couplings(g=args.g, J=args.J)
-    d_values = range(args.dmin, args.dmax + 1, args.dstep)
-    source = DpCountSource()
-    certified = analytic_velocity(couplings)
+    window = ["--g", repr(args.g), "--J", repr(args.J), "--dmin", str(args.dmin),
+              "--dmax", str(args.dmax), "--dstep", str(args.dstep)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(args.json_out or pathlib.Path(tmp) / "velocity_report.json")
+        reports = [
+            (epsilon, run([*window, "--epsilon", repr(epsilon)], path))
+            for epsilon in map(float, args.epsilons.split(","))
+        ]
 
+    certified = reports[0][1]["kappa"]["v_lr"]
     print(f"couplings g = {args.g}, J = {args.J}; certified cone velocity = {certified:.6f}")
     print(f"distance window d = {args.dmin}..{args.dmax} step {args.dstep}")
     print()
     print(f"{'epsilon':>10} {'fitted v':>10} {'v/certified':>12} "
           f"{'slope(1st half)':>16} {'slope(2nd half)':>16} {'r^2':>10}")
-
-    report = None
-    for token in args.epsilons.split(","):
-        epsilon = float(token)
-        report = extract_velocity(
-            couplings,
-            d_values=d_values,
-            epsilon=epsilon,
-            evaluator=BoundEvaluator(couplings, source=source),
-            include_profile=True,
-        )
-        lead, trail = report.subwindow_slopes
+    for epsilon, report in reports:
+        lead, trail = report["subwindow_slopes"]
         print(
-            f"{epsilon:>10.1e} {report.fit.velocity:>10.6f} "
-            f"{report.velocity_ratio:>12.6f} {lead:>16.6f} {trail:>16.6f} "
-            f"{report.fit.r_squared:>10.6f}"
+            f"{epsilon:>10.1e} {report['fit']['v']:>10.6f} "
+            f"{report['ratio_v_over_v_lr']:>12.6f} {lead:>16.6f} {trail:>16.6f} "
+            f"{report['fit']['r_squared']:>10.6f}"
         )
 
-    if args.json_out and report is not None:
-        with open(args.json_out, "w") as fh:
-            json.dump(velocity_report_to_json_dict(report), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    if args.json_out:
         print(f"\nlast report written to {args.json_out}")
 
 

@@ -60,7 +60,7 @@ def v_lr_dimension(
 
     Reduces exactly to the 2D analytic velocity at D = 2 for either
     convention.  D below the plaquette threshold, where there are no faces,
-    is refused; `HorizonModel.velocity` clamps it to zero in toy mode.
+    is refused; the horizon model's toy mode takes the velocity as zero there.
     """
     if not math.isfinite(D):
         raise ValueError(f"D must be finite, got {D}")
@@ -108,15 +108,6 @@ class HorizonModel:
             return 0.0 if self.D_in <= D_target else math.inf
         return (1.0 - D_target / self.D_in) / self.alpha
 
-    def velocity(self, t: float) -> float:
-        """v_lr_dimension at D(t); in toy mode 0 for 1 <= D(t) < 2 (no faces)."""
-        D = self.dimension(t)
-        if D < 1.0:
-            raise ValueError(f"D must be >= 1, got {D}")
-        if self.mode == "toy" and D < PLAQUETTE_THRESHOLD:
-            return 0.0
-        return v_lr_dimension(D, self.couplings, self.convention)
-
 
 def _mean_root_branching(
     D_lo: float, D_hi: float, convention: BranchingConvention
@@ -147,14 +138,13 @@ def _mean_root_branching(
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def _swept_dimensions(
-    model: HorizonModel, t_i: float, t_f: float
-) -> tuple[float, float, float] | None:
-    """Check [t_i, t_f] against the model and clip it to where D(t) >= 2.
+def _velocity_cutoff(model: HorizonModel, t_i: float, t_f: float) -> float:
+    """Check [t_i, t_f] against the model; return when the velocity drops to zero.
 
-    Returns (D_lo, D_hi, duration) of the clipped part, or None where the
-    velocity is zero throughout.  D(t) is monotone, so checking t_f checks
-    the whole interval.
+    That is -inf for D_in < 2, +inf for alpha = 0 (at D_in = 2 exactly, D
+    never drops below the threshold, although time_at_dimension(2) reads 0),
+    and the D = 2 crossing otherwise.  D(t) is monotone, so checking t_f
+    checks the whole interval and every panel inside it.
     """
     if not (math.isfinite(t_i) and math.isfinite(t_f)):
         raise ValueError(f"t_i and t_f must be finite, got t_i = {t_i}, t_f = {t_f}")
@@ -171,35 +161,29 @@ def _swept_dimensions(
             f"D(t_f) = {d_end} < {PLAQUETTE_THRESHOLD} in strict mode; the "
             f"threshold crossing is at t = {model.time_at_dimension(PLAQUETTE_THRESHOLD)}"
         )
-    if t_f == t_i:
-        return None
-
-    # With alpha = 0 the clip is all or nothing: at D_in = 2 exactly, D never
-    # drops below the threshold, although time_at_dimension(2) reads 0.
     if model.D_in < PLAQUETTE_THRESHOLD:
-        return None
+        return -math.inf
     if model.alpha == 0.0:
-        t_stop = t_f
-    else:
-        t_stop = min(t_f, model.time_at_dimension(PLAQUETTE_THRESHOLD))
-    if t_stop <= t_i:
-        return None
+        return math.inf
+    return model.time_at_dimension(PLAQUETTE_THRESHOLD)
+
+
+def _panel_distances(
+    model: HorizonModel, t_cut: float, t_prev: float, t_next: float
+) -> tuple[float, float]:
+    """(axis_pairs, degrees) distances over [t_prev, t_next], clipped at t_cut."""
+    t_stop = min(t_next, t_cut)
+    if t_stop <= t_prev:
+        return 0.0, 0.0
     D_lo = max(model.dimension(t_stop), PLAQUETTE_THRESHOLD)
-    return D_lo, model.dimension(t_i), t_stop - t_i
-
-
-def _swept_distance(
-    model: HorizonModel,
-    swept: tuple[float, float, float] | None,
-    convention: BranchingConvention,
-) -> float:
-    """Duration times mean velocity over a `_swept_dimensions` interval."""
-    if swept is None:
-        return 0.0
-    D_lo, D_hi, duration = swept
-    mean = _mean_root_branching(D_lo, D_hi, convention)
+    D_hi = model.dimension(t_prev)
+    duration = t_stop - t_prev
     c = model.couplings
-    return c.step_factor * (math.e / 2.0) * math.sqrt(c.g * c.J) * mean * duration
+    v_unit = c.step_factor * (math.e / 2.0) * math.sqrt(c.g * c.J)
+    return (
+        v_unit * _mean_root_branching(D_lo, D_hi, BranchingConvention.AXIS_PAIRS) * duration,
+        v_unit * _mean_root_branching(D_lo, D_hi, BranchingConvention.DEGREES) * duration,
+    )
 
 
 def _finite_radius(r: float) -> float:
@@ -217,8 +201,8 @@ def horizon_distance(model: HorizonModel, t_i: float, t_f: float) -> float:
     vanishes once D(t) drops below the plaquette threshold, so the interval is
     cut there.  A radius past the float range is refused.
     """
-    swept = _swept_dimensions(model, t_i, t_f)
-    return _finite_radius(_swept_distance(model, swept, model.convention))
+    r_axis, r_deg = _panel_distances(model, _velocity_cutoff(model, t_i, t_f), t_i, t_f)
+    return _finite_radius(r_axis if model.convention is BranchingConvention.AXIS_PAIRS else r_deg)
 
 
 def lightcone_boundary(
@@ -230,27 +214,29 @@ def lightcone_boundary(
     """Rows (t_k, r_axis_pairs, r_degrees) on a uniform grid of `steps` samples.
 
     Both conventions are sampled whatever the model's convention field, so
-    the discrepancy is visible in every output.  Each panel is checked and
-    clipped once, and each radius is accumulated panel by panel from
-    horizon_distance's expression, so monotonicity holds by construction and
-    each sample equals horizon_distance(model, t_start, t_k) up to rounding.
+    the discrepancy is visible in every output.  The interval is checked
+    once, each panel is clipped once, and each radius is accumulated panel by
+    panel from horizon_distance's expression, so monotonicity holds by
+    construction and each sample equals horizon_distance(model, t_start, t_k)
+    up to rounding.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     if t_end < t_start:
         raise ValueError(f"need t_start <= t_end, got {t_start}, {t_end}")
-    # Validates the whole interval up front (monotone D: endpoint suffices).
-    _swept_dimensions(model, t_start, t_end)
+    t_cut = _velocity_cutoff(model, t_start, t_end)
 
     # The last sample is t_end itself: the grid formula can round past it.
     times = [t_start + (t_end - t_start) * k / (steps - 1) for k in range(steps - 1)]
+    if not math.isfinite(times[-1]):  # the largest sample; nan if the span overflowed
+        raise ValueError(f"the time grid from {t_start} to {t_end} is past the float range")
     times.append(t_end)
     rows = [(times[0], 0.0, 0.0)]
     r_axis = r_deg = 0.0
     for t_prev, t_next in zip(times, times[1:]):
-        swept = _swept_dimensions(model, t_prev, t_next)
-        r_axis += _swept_distance(model, swept, BranchingConvention.AXIS_PAIRS)
-        r_deg += _swept_distance(model, swept, BranchingConvention.DEGREES)
+        d_axis, d_deg = _panel_distances(model, t_cut, t_prev, t_next)
+        r_axis += d_axis
+        r_deg += d_deg
         rows.append((t_next, r_axis, r_deg))
     # Sums keep an inf or nan panel, so checking the last row checks them all.
     _finite_radius(r_axis)

@@ -286,6 +286,11 @@ def evaluate_bound(
     """
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"t must be finite and >= 0, got {t}")
+    step_t = couplings.step_factor * t
+    if t > 0.0 and step_t == 0.0:
+        raise ValueError(
+            f"step_factor * t underflows to 0 at t = {t}, step_factor = {couplings.step_factor}"
+        )
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
     if not 0 < rel_tol < 1:
@@ -298,7 +303,8 @@ def evaluate_bound(
     x = _tail_x(t, couplings, TAIL_KAPPA)
     log_x = math.log(x) if x > 0.0 else -math.inf
     log_tail_base = math.log(2.0 * prefactor) + TAIL_KAPPA * (4.0 - 2.0 * d)
-    log_step_t = log_gj = None  # taken at the first nonzero count, as the loop took them
+    log_step_t = math.log(step_t) if t > 0.0 else -math.inf  # unused at t = 0
+    log_gj = math.log(couplings.g * couplings.J)
     terms: list[float] = []  # the nonzero-count terms; the zeros add nothing to a sum
     running = 0.0
     streak = 0
@@ -318,9 +324,6 @@ def evaluate_bound(
                 if t == 0.0:
                     term = 1.0 if n == 0 else 0.0
                 else:
-                    if log_step_t is None:
-                        log_step_t = math.log(couplings.step_factor * t)
-                        log_gj = math.log(couplings.g * couplings.J)
                     log_term = n * log_step_t + log_counts[n] + 0.5 * n * log_gj - log_factorial[n]
                     try:
                         term = math.exp(log_term)

@@ -278,6 +278,15 @@ def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, f
     return slope, intercept, r_squared, rms
 
 
+def _check_distance_span(ds: Sequence[float]) -> None:
+    """Refuse distances not all > 0, or whose max / min is below MIN_DISTANCE_RATIO."""
+    if min(ds) <= 0 or max(ds) / min(ds) < MIN_DISTANCE_RATIO:
+        raise ValueError(
+            f"arrival distances must span a ratio >= {MIN_DISTANCE_RATIO}, "
+            f"got [{min(ds):g}, {max(ds):g}]"
+        )
+
+
 def fit_lightcone(
     arrivals: Sequence[ArrivalTime],
     profile: Sequence[tuple[float, int, float]] | None = None,
@@ -297,11 +306,7 @@ def fit_lightcone(
         raise ValueError(f"need at least {MIN_POINTS} arrival points, got {n_arrivals}")
     ds = [float(a.d) for a in arrivals]
     ts = [a.time for a in arrivals]
-    if min(ds) <= 0 or max(ds) / min(ds) < MIN_DISTANCE_RATIO:
-        raise ValueError(
-            f"arrival distances must span a ratio >= {MIN_DISTANCE_RATIO}, "
-            f"got [{min(ds):g}, {max(ds):g}]"
-        )
+    _check_distance_span(ds)
     if len(set(ts)) < 2:
         raise ValueError("arrival times must not all be equal")
     velocity, front_offset, r_squared, residual_rms = _line_fit(ts, ds)
@@ -375,12 +380,14 @@ def extract_velocity(
 
     The subwindow slopes (first half versus second half of the distance
     window) expose any residual drift of the fitted velocity with distance.
-    A window whose largest distance needs walks past the count source's work
-    budget raises ConvergenceError before the first arrival is computed.
+    A window spanning a ratio below MIN_DISTANCE_RATIO raises ValueError, and
+    one whose largest distance needs walks past the count source's work
+    budget ConvergenceError, before the first arrival is computed.
     """
     d_values = tuple(int(d) for d in d_values)
     if len(d_values) < 4:
         raise ValueError(f"need at least 4 distances, got {len(d_values)}")
+    _check_distance_span(d_values)
     if evaluator is None:
         evaluator = BoundEvaluator(couplings)
     elif evaluator.couplings != couplings:

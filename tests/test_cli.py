@@ -179,6 +179,15 @@ def test_bound_past_float_range_exits_3_without_artifact(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("d", ["0", "5"])
+def test_bound_time_whose_step_underflows_exits_1_without_artifact(tmp_path, capsys, d):
+    argv = ["bound", "--t", "5e-324", "--d", d, "--step-factor", "0.1",
+            "--output", str(tmp_path / "x.csv")]
+    assert run(*argv) == cli.EXIT_USAGE
+    assert "t = 5e-324, step_factor = 0.1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bound_usage_errors(tmp_path):
     assert run("bound", "--t", "-1.0", "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
     assert run("bound", "--d", "2.5", "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
@@ -288,6 +297,16 @@ def test_velocity_rejects_csv_format(tmp_path, capsys):
 def test_velocity_bad_window(tmp_path):
     assert run("velocity", "--dmin", "8", "--dmax", "4", "--output", str(tmp_path / "x")) == 1
     assert run("velocity", "--dmin", "0", "--output", str(tmp_path / "x")) == 1
+
+
+def test_velocity_narrow_window_exits_1_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    code = run("velocity", "--dmin", "500", "--dmax", "503", "--dstep", "1",
+               "--output", str(tmp_path / "x"))
+    assert code == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 0.5
+    assert "ratio >= 2.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_velocity_window_past_work_budget_exits_3_at_once(tmp_path, capsys):
@@ -428,6 +447,13 @@ def test_horizon_strict_mode_rejects_crossing(tmp_path):
 def test_horizon_non_finite_tf_exits_1_without_artifact(tmp_path, capsys, flags):
     assert run("horizon", *flags, "--output", str(tmp_path / "x.csv")) == cli.EXIT_USAGE
     assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_horizon_time_grid_past_float_range_exits_1_without_artifact(tmp_path, capsys):
+    argv = ["horizon", "--alpha", "0", "--tf", "1e308", "--output", str(tmp_path / "x.csv")]
+    assert run(*argv) == cli.EXIT_USAGE
+    assert "time grid from 0.0 to 1e+308 is past the float range" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -89,13 +89,13 @@ def test_strict_and_toy_modes_below_threshold():
     toy, strict = (
         HorizonModel(D_in=2.0, alpha=0.1, couplings=HALF, mode=mode) for mode in ("toy", "strict")
     )
-    assert toy.velocity(1.0) == 0.0
-    assert toy.velocity(5.0) == 0.0
-    with pytest.raises(ValueError, match="plaquette threshold"):
-        strict.velocity(1.0)
+    assert horizon_distance(toy, 0.0, 1.0) == 0.0
+    assert horizon_distance(toy, 1.0, 5.0) == 0.0
+    with pytest.raises(ValueError, match="strict mode"):
+        horizon_distance(strict, 0.0, 1.0)
     for model in (toy, strict):
-        with pytest.raises(ValueError, match=">= 1"):
-            model.velocity(6.5)
+        with pytest.raises(ValueError, match="D = 1"):
+            horizon_distance(model, 0.0, 6.5)
     with pytest.raises(ValueError, match="plaquette threshold"):
         v_lr_dimension(1.8, HALF, AXIS)
     with pytest.raises(ValueError, match="finite"):
@@ -256,6 +256,20 @@ def test_lightcone_boundary_validation():
         lightcone_boundary(m, 1.0, 0.0, 5)
 
 
+@pytest.mark.parametrize(
+    "alpha,t_start,t_end,steps",
+    [
+        (0.0, 0.0, 1e308, 101),  # 2 * 1e308 / 100 overflows to inf
+        (1e-305, 0.0, 7e304, 10_000),  # D(t) >= 1 throughout, yet the grid overflows
+        (0.0, -1e308, 1e308, 2),  # the span itself overflows: the first sample is nan
+    ],
+)
+def test_lightcone_boundary_refuses_a_time_grid_past_float_range(alpha, t_start, t_end, steps):
+    m = HorizonModel(D_in=4.0, alpha=alpha, couplings=HALF)
+    with pytest.raises(ValueError, match="time grid .* past the float range"):
+        lightcone_boundary(m, t_start, t_end, steps)
+
+
 # ---------------------------------------------------------------------------
 # Closed form against the independent quadrature.
 # ---------------------------------------------------------------------------
@@ -328,8 +342,20 @@ def _two_pass_rows(model, t_start, t_end, steps):
 def _bits_or_refusal(rows_of):
     try:
         return [tuple(x.hex() for x in row) for row in rows_of()]
-    except ValueError:
-        return "refused"
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+def _assert_rows_equal_two_pass_oracle(model, t_start, t_end, steps):
+    # The oracle checks the whole interval first, as lightcone_boundary does,
+    # so a refusal carries the same message.
+    def oracle():
+        horizon_distance(model, t_start, t_end)
+        return _two_pass_rows(model, t_start, t_end, steps)
+
+    assert _bits_or_refusal(lambda: lightcone_boundary(model, t_start, t_end, steps)) == (
+        _bits_or_refusal(oracle)
+    )
 
 
 @given(
@@ -337,14 +363,35 @@ def _bits_or_refusal(rows_of):
     alpha=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.1, exclude_min=True)),
     mode=st.sampled_from(["toy", "strict"]),
     reach=st.floats(min_value=0.0, max_value=1.0),
+    lead=st.floats(min_value=0.0, max_value=2.0),
     steps=st.integers(min_value=2, max_value=40),
 )
 @settings(max_examples=300, deadline=None)
-def test_lightcone_boundary_rows_equal_two_pass_oracle(D_in, alpha, mode, reach, steps):
+def test_lightcone_boundary_rows_equal_two_pass_oracle(D_in, alpha, mode, reach, lead, steps):
     # t_end runs past the D = 1 crossing, and strict models cross D = 2, so
-    # refusals are covered too.
+    # refusals are covered too; t_start runs below 0, where D(t) > D_in.
     model = HorizonModel(D_in=D_in, alpha=alpha, couplings=HALF, mode=mode)
-    t_end = reach * min(1.5 * model.time_at_dimension(1.0), 1e6)
-    assert _bits_or_refusal(lambda: lightcone_boundary(model, 0.0, t_end, steps)) == (
-        _bits_or_refusal(lambda: _two_pass_rows(model, 0.0, t_end, steps))
-    )
+    scale = min(1.5 * model.time_at_dimension(1.0), 1e6)
+    t_end = reach * scale
+    _assert_rows_equal_two_pass_oracle(model, t_end - lead * scale, t_end, steps)
+
+
+@pytest.mark.parametrize(
+    "D_in,alpha,mode,t_start,t_end,steps",
+    [
+        (2.0, 0.0, "toy", -1.0, 4.0, 6),  # D stays at 2: the planar e throughout
+        (2.0, 0.0, "strict", 0.0, 4.0, 5),
+        (2.0, 0.1, "toy", -3.0, 5.0, 9),  # D = 2 is crossed at t = 0
+        (2.0, 0.1, "strict", -3.0, 0.0, 7),
+        (2.0, 0.1, "strict", -3.0, 1.0, 7),  # refused
+        (1.5, 0.1, "toy", -10.0, 3.0, 8),
+        (1.5, 0.0, "toy", 0.0, 2.0, 3),
+        (4.0, 0.1, "toy", 0.0, 7.5, 4),  # a panel boundary on the D = 2 crossing, t = 5
+        (4.0, 0.1, "strict", 0.0, 7.5, 4),  # refused
+    ],
+)
+def test_lightcone_boundary_rows_equal_two_pass_oracle_examples(
+    D_in, alpha, mode, t_start, t_end, steps
+):
+    model = HorizonModel(D_in=D_in, alpha=alpha, couplings=HALF, mode=mode)
+    _assert_rows_equal_two_pass_oracle(model, t_start, t_end, steps)

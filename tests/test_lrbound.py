@@ -7,6 +7,7 @@ no logs or floats, versus the implementation's log-space fsum.
 
 import dataclasses
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -185,6 +186,15 @@ def test_evaluate_bound_rejects_bad_time(t):
     with pytest.raises(ValueError, match="finite and >= 0"):
         evaluate_bound(t, 2, HALF, source=source)
     assert source.n_max == 8
+
+
+@pytest.mark.parametrize("d", [0, 2, 5])
+@pytest.mark.parametrize("t,step_factor", [(5e-324, 0.1), (1e-320, 1e-5)])
+def test_evaluate_bound_refuses_a_time_whose_step_underflows(t, step_factor, d):
+    # step_factor * t rounds to 0 although t > 0: no term is certified.
+    couplings = Couplings(g=0.5, J=0.5, step_factor=step_factor)
+    with pytest.raises(ValueError, match=re.escape(f"t = {t}, step_factor = {step_factor}")):
+        evaluate_bound(t, d, couplings, source=DpCountSource(n_max=8))
 
 
 def test_zero_time_limits(shared_source):

@@ -362,6 +362,13 @@ def test_extract_velocity_refuses_window_past_work_budget_before_any_arrival():
     assert ev.evaluations == 0
 
 
+def test_extract_velocity_refuses_narrow_window_before_any_arrival():
+    ev = BoundEvaluator(HALF)
+    with pytest.raises(ValueError, match="ratio >= 2.0, got \\[500, 503\\]"):
+        extract_velocity(HALF, d_values=range(500, 504), epsilon=1e-8, evaluator=ev)
+    assert ev.evaluations == 0
+
+
 @pytest.mark.slow
 def test_headline_window_threshold_drift():
     # Measured drift of the fitted velocity between eps = 1e-6 and 1e-10 over
