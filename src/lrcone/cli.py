@@ -53,12 +53,13 @@ COUNT_LIMIT = 512
 # of a `bound` grid.  1e6 scan-dim rows take 8 s and 200 MB on a 2-core VM.
 ROW_LIMIT = 100_000
 
-_DEFAULT_OUTPUTS = {
-    "count": "counts.csv",
-    "bound": "bound_grid.csv",
-    "velocity": "velocity_report.json",
-    "scan-dim": "dimension_scan.csv",
-    "horizon": "lightcone.csv",
+# Default output names are <stem>.<format>.
+_DEFAULT_STEMS = {
+    "count": "counts",
+    "bound": "bound_grid",
+    "velocity": "velocity_report",
+    "scan-dim": "dimension_scan",
+    "horizon": "lightcone",
 }
 
 
@@ -154,7 +155,7 @@ def _echo(cfg: RunConfig) -> dict:
 
 
 def _output_path(cfg: RunConfig, command: str) -> str:
-    return cfg.path if cfg.path is not None else _DEFAULT_OUTPUTS[command]
+    return cfg.path if cfg.path is not None else f"{_DEFAULT_STEMS[command]}.{cfg.format}"
 
 
 def _write_json_doc(path: str, doc: dict) -> None:
@@ -279,7 +280,7 @@ def cmd_velocity(cfg: RunConfig, args: argparse.Namespace) -> int:
         evaluator=evaluator,
         include_profile=True,
     )
-    doc = {**velocity_report_to_json_dict(report), "config": cfg.to_json_dict()}
+    doc = {**velocity_report_to_json_dict(report), **_echo(cfg)}
     path = _output_path(cfg, "velocity")
     _write_json_doc(path, doc)
     _write_sidecar(path, evaluations=evaluator.evaluations)

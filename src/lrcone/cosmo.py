@@ -141,10 +141,10 @@ def _mean_root_branching(
 def _velocity_cutoff(model: HorizonModel, t_i: float, t_f: float) -> float:
     """Check [t_i, t_f] against the model; return when the velocity drops to zero.
 
-    That is -inf for D_in < 2, +inf for alpha = 0 (at D_in = 2 exactly, D
-    never drops below the threshold, although time_at_dimension(2) reads 0),
-    and the D = 2 crossing otherwise.  D(t) is monotone, so checking t_f
-    checks the whole interval and every panel inside it.
+    That is the D = 2 crossing (1 - 2 / D_in) / alpha for alpha > 0, negative
+    for D_in < 2, where D(t) is above 2 only at earlier times; for alpha = 0
+    it is +inf if D_in >= 2 and -inf otherwise.  D(t) is monotone, so
+    checking t_f checks the whole interval and every panel inside it.
     """
     if not (math.isfinite(t_i) and math.isfinite(t_f)):
         raise ValueError(f"t_i and t_f must be finite, got t_i = {t_i}, t_f = {t_f}")
@@ -161,11 +161,9 @@ def _velocity_cutoff(model: HorizonModel, t_i: float, t_f: float) -> float:
             f"D(t_f) = {d_end} < {PLAQUETTE_THRESHOLD} in strict mode; the "
             f"threshold crossing is at t = {model.time_at_dimension(PLAQUETTE_THRESHOLD)}"
         )
-    if model.D_in < PLAQUETTE_THRESHOLD:
-        return -math.inf
     if model.alpha == 0.0:
-        return math.inf
-    return model.time_at_dimension(PLAQUETTE_THRESHOLD)
+        return math.inf if model.D_in >= PLAQUETTE_THRESHOLD else -math.inf
+    return (1.0 - PLAQUETTE_THRESHOLD / model.D_in) / model.alpha
 
 
 def _panel_distances(

@@ -29,11 +29,12 @@ log_series_term's order, n log(step t) + log count + (n/2) log(g J) -
 lgamma(n + 1), exponentiated with math.exp (np.exp differs from it in the
 last bit on a few percent of arguments).  The streak and tail tests read a
 running sum of the terms, with a relative margin far above its rounding;
-only a test inside the margin falls back to math.fsum of the terms, and
-the tail is computed by tail_bound's own expression.  The value is
-2 |P| |Q| times math.fsum of the terms through n_truncate and the tail one
-best_tail_bound(n_truncate, ...), so every result equals the term-by-term
-loop's with an fsum and a tail certificate at every n (kept as
+only a test inside the margin falls back to math.fsum of the terms.  The
+tail is computed by tail_bound's own expression, in its order of
+operations, so the certified tail is the loop's own and equals
+best_tail_bound(n_truncate, ...) bit for bit.  The value is 2 |P| |Q| times
+math.fsum of the terms through n_truncate, so every result equals the
+term-by-term loop's with an fsum and a tail certificate at every n (kept as
 `tests/reference.scalar_evaluate_bound`) bit for bit.
 """
 
@@ -370,7 +371,6 @@ def evaluate_bound(
             if bound <= _HUGE and tail > max(bound, _TINY) * (1.0 + _MARGIN):
                 continue
             partial = math.fsum(terms)
-            tail = best_tail_bound(n, t, d, couplings)
             if tail <= rel_bound * partial:
                 value = prefactor * partial
                 if not math.isfinite(value):

@@ -61,11 +61,6 @@ def optimize_kappa(couplings: Couplings) -> KappaOptimum:
     )
 
 
-def analytic_velocity(couplings: Couplings) -> float:
-    """Certified cone velocity step * e * sqrt(2 g J) (kappa = 1 optimum)."""
-    return optimize_kappa(couplings).v_lr
-
-
 # ---------------------------------------------------------------------------
 # Numeric route: arrival times.
 # ---------------------------------------------------------------------------
@@ -124,17 +119,13 @@ def arrival_time(d: int, epsilon: float, evaluator: BoundEvaluator) -> ArrivalTi
     is exact because the evaluated B is nondecreasing in t: in exact
     arithmetic term_n / partial_n and tail_n / partial_n both rise with t,
     so n_truncate never falls as t grows, and the 1e-12 margin is about a
-    hundred times the rounding noise of an evaluation.  `evaluations`
-    counts every evaluate call, the final one at the reported time included.
+    hundred times the rounding noise of an evaluation.  `evaluations` is
+    the evaluator's count of the evaluate calls made here, the final one at
+    the reported time included.  geodesic_bracket_time checks d and epsilon
+    before the first.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-
-    couplings = evaluator.couplings
-    t_hi = geodesic_bracket_time(d, epsilon, couplings)
-    evaluations = 1
+    t_hi = geodesic_bracket_time(d, epsilon, evaluator.couplings)
+    start = evaluator.evaluations
     value_hi = evaluator.evaluate(t_hi, d).value
     expansions = 0
     while value_hi < epsilon:
@@ -145,10 +136,8 @@ def arrival_time(d: int, epsilon: float, evaluator: BoundEvaluator) -> ArrivalTi
             )
         t_hi *= 1.5
         value_hi = evaluator.evaluate(t_hi, d).value
-        evaluations += 1
 
-    a, b, steps = _secant_bracket(d, epsilon, evaluator, t_hi, value_hi)
-    evaluations += steps
+    a, b = _secant_bracket(d, epsilon, evaluator, t_hi, value_hi)
 
     t_lo = 0.0
     while t_hi - t_lo > TIME_REL_TOL * t_hi:
@@ -158,7 +147,6 @@ def arrival_time(d: int, epsilon: float, evaluator: BoundEvaluator) -> ArrivalTi
         elif mid <= a * (1.0 - _REPLAY_MARGIN):
             reached = False
         else:
-            evaluations += 1
             reached = evaluator.evaluate(mid, d).value >= epsilon
         if reached:
             t_hi = mid
@@ -171,14 +159,14 @@ def arrival_time(d: int, epsilon: float, evaluator: BoundEvaluator) -> ArrivalTi
         time=t_star,
         epsilon=epsilon,
         bound_value=final.value,
-        evaluations=evaluations + 1,
+        evaluations=evaluator.evaluations - start,
     )
 
 
 def _secant_bracket(
     d: int, epsilon: float, evaluator: BoundEvaluator, t_hi: float, value_hi: float
-) -> tuple[float, float, int]:
-    """Evaluated times a < b with B(a) < epsilon <= B(b), and the evaluations made.
+) -> tuple[float, float]:
+    """Evaluated times a < b with B(a) < epsilon <= B(b).
 
     Regula falsi on f = log B - log epsilon over log t, with the Illinois
     halving of a retained end's f so that both ends close in; a step lands
@@ -219,7 +207,7 @@ def _secant_bracket(
             if retained == 1:
                 f_b *= 0.5
             retained = 1
-    return a, b, steps
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +229,6 @@ class LightConeFit:
     residual_rms: float
     decay_length: float  # nan without profile samples
     amplitude: float  # nan without profile samples
-    n_arrivals: int
-    n_profile: int
 
 
 def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float, float]:
@@ -301,9 +287,8 @@ def fit_lightcone(
     whose intercept needs the arrival-fit velocity to separate the amplitude
     A from the time shift.
     """
-    n_arrivals = len(arrivals)
-    if n_arrivals < MIN_POINTS:
-        raise ValueError(f"need at least {MIN_POINTS} arrival points, got {n_arrivals}")
+    if len(arrivals) < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} arrival points, got {len(arrivals)}")
     ds = [float(a.d) for a in arrivals]
     ts = [a.time for a in arrivals]
     _check_distance_span(ds)
@@ -312,11 +297,9 @@ def fit_lightcone(
     velocity, front_offset, r_squared, residual_rms = _line_fit(ts, ds)
 
     decay_length = amplitude = math.nan
-    n_profile = 0
     if profile is not None:
-        n_profile = len(profile)
-        if n_profile < MIN_POINTS:
-            raise ValueError(f"need at least {MIN_POINTS} profile points, got {n_profile}")
+        if len(profile) < MIN_POINTS:
+            raise ValueError(f"need at least {MIN_POINTS} profile points, got {len(profile)}")
         ts_p = [float(p[0]) for p in profile]
         ds_p = [float(p[1]) for p in profile]
         values = [float(p[2]) for p in profile]
@@ -346,8 +329,6 @@ def fit_lightcone(
         residual_rms=residual_rms,
         decay_length=decay_length,
         amplitude=amplitude,
-        n_arrivals=n_arrivals,
-        n_profile=n_profile,
     )
 
 
@@ -364,7 +345,6 @@ class VelocityReport:
     arrivals: tuple[ArrivalTime, ...]
     fit: LightConeFit
     analytic: KappaOptimum
-    velocity_ratio: float  # fitted / analytic
     subwindow_slopes: tuple[float, float]  # leading-half and trailing-half fits
 
 
@@ -385,8 +365,8 @@ def extract_velocity(
     budget ConvergenceError, before the first arrival is computed.
     """
     d_values = tuple(int(d) for d in d_values)
-    if len(d_values) < 4:
-        raise ValueError(f"need at least 4 distances, got {len(d_values)}")
+    if len(d_values) < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} distances, got {len(d_values)}")
     _check_distance_span(d_values)
     if evaluator is None:
         evaluator = BoundEvaluator(couplings)
@@ -402,7 +382,6 @@ def extract_velocity(
             (t_ref, d, evaluator.evaluate(t_ref, d).value) for d in d_values
         ]
     fit = fit_lightcone(arrivals=arrivals, profile=profile, prefactor=couplings.prefactor)
-    analytic = optimize_kappa(couplings)
 
     half = len(arrivals) // 2
     ts = [a.time for a in arrivals]
@@ -416,15 +395,14 @@ def extract_velocity(
         d_values=d_values,
         arrivals=arrivals,
         fit=fit,
-        analytic=analytic,
-        velocity_ratio=fit.velocity / analytic.v_lr,
+        analytic=optimize_kappa(couplings),
         subwindow_slopes=(lead, trail),
     )
 
 
 def velocity_report_to_json_dict(report: VelocityReport) -> dict:
+    """The report's fields; the CLI adds the schema_version and config echo."""
     return {
-        "schema_version": 2,
         "couplings": report.couplings.to_json_dict(),
         "epsilon": report.epsilon,
         "d_values": list(report.d_values),
@@ -444,6 +422,6 @@ def velocity_report_to_json_dict(report: VelocityReport) -> dict:
             "v_lr": report.analytic.v_lr,
         },
         "ratio_v_over_c": report.fit.velocity / report.couplings.coupling_speed,
-        "ratio_v_over_v_lr": report.velocity_ratio,
+        "ratio_v_over_v_lr": report.fit.velocity / report.analytic.v_lr,
         "subwindow_slopes": list(report.subwindow_slopes),
     }

@@ -26,8 +26,8 @@ an fsum and a tail certificate at every term, and the plain arrival
 bisection, that `lrcone` used before its O(1)-per-term loop and its secant
 replay.  They share the building blocks (log_series_term, best_tail_bound,
 the count source) with the code under test, and must give its results bit
-for bit.  They import `lrcone` only when called, so loading this module for
-`exact_bound_series` stays cheap.
+for bit.  They import `lrcone`, and horizon_radius_quadrature numpy, only
+when called, so loading this module for `exact_bound_series` stays cheap.
 """
 
 import itertools
@@ -35,8 +35,6 @@ import math
 import sys
 from fractions import Fraction
 from math import factorial
-
-import numpy as np
 
 
 def exact_bound_series(
@@ -158,14 +156,14 @@ def horizon_radius_quadrature(
     sits a full panel width away from every panel, and each panel converges
     to rounding.
     """
+    import numpy as np  # here, not at module level: see the module docstring
+
     if convention == "axis_pairs":
         root_b = lambda D: 2.0 * np.sqrt(D * (D - 1.0))  # noqa: E731
     elif convention == "degrees":
         root_b = lambda D: math.sqrt(8.0) * np.sqrt(D - 1.0)  # noqa: E731
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    # Computed per call: importing numpy.polynomial at module level would
-    # weigh on every user of this module, the benchmark's series oracle too.
     nodes, weights = np.polynomial.legendre.leggauss(20)
     t_stop = t_f if alpha == 0.0 else min(t_f, (1.0 - 2.0 / D_in) / alpha)
     if t_stop <= t_i:

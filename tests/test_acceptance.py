@@ -33,7 +33,7 @@ from lrcone.pathcount import (
     gross_upper_bound,
     perpendicular_target,
 )
-from lrcone.velocity import analytic_velocity, extract_velocity, optimize_kappa
+from lrcone.velocity import extract_velocity, optimize_kappa
 
 from reference import exact_bound_series, saddle_velocity
 
@@ -72,7 +72,7 @@ def headline_report(shared_source):
 def test_criterion_1_headline_velocity_within_25_percent(headline_report):
     """Fitted front vs its saddle-point prediction, below the certified cone."""
     predicted = saddle_velocity(HEADLINE.g, HEADLINE.J)  # ≈ 1.1979 for g = J = 1/2
-    certified = analytic_velocity(HEADLINE)  # = e for g = J = 1/2
+    certified = headline_report.analytic.v_lr  # = e for g = J = 1/2
     fitted = headline_report.fit.velocity
     deviation = abs(fitted - predicted) / predicted
     runtime = _timings["table_build"] + _timings["headline_pipeline"]
@@ -286,7 +286,8 @@ def test_criterion_6_dimension_reduction_and_linear_growth():
     for g, J in rng.uniform(0.05, 4.0, size=(10, 2)):
         couplings = Couplings(g=float(g), J=float(J))
         planar = v_lr_dimension(2, couplings)
-        rel = abs(planar - analytic_velocity(couplings)) / analytic_velocity(couplings)
+        certified = optimize_kappa(couplings).v_lr
+        rel = abs(planar - certified) / certified
         worst_reduction = max(worst_reduction, rel)
 
     per_dimension = v_lr_dimension(1000.0, HEADLINE) / 1000.0

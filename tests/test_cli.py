@@ -736,6 +736,22 @@ def test_config_echo_bytes_are_pinned(tmp_path, monkeypatch, command, with_confi
     assert echo == _PINNED_ECHOES[with_config, command]
 
 
+@pytest.mark.parametrize("command", ["count", "bound", "scan-dim", "horizon"])
+def test_json_default_name_follows_format(tmp_path, monkeypatch, command):
+    # Without --output a JSON document takes the .json name, never the .csv one.
+    monkeypatch.chdir(tmp_path)
+    assert run(command, "--format", "json") == (
+        cli.EXIT_MISMATCH if command == "count" else cli.EXIT_OK
+    )
+    name = _DEFAULT_NAMES[command].removesuffix(".csv") + ".json"
+    expected = {name, name + ".meta.json"}
+    if command == "count":
+        expected.add(name + ".fidelity.json")
+    assert {p.name for p in tmp_path.iterdir()} == expected
+    assert json.loads((tmp_path / name).read_text())["config"]["output"]["format"] == "json"
+    assert json.loads((tmp_path / (name + ".meta.json")).read_text())["output"] == name
+
+
 def test_shared_parser_carries_no_state_between_calls(tmp_path, monkeypatch):
     # main reuses one parser; a run with flags must not leak them into the
     # next run, whose artifact must match one parsed by a fresh parser.

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lrcone.cosmo import (
@@ -297,6 +297,9 @@ def horizon_cases(draw):
 
 @given(horizon_cases())
 @settings(max_examples=300, deadline=None)
+# D_in < 2 at negative times: D(t) runs from 3 down to 2.25, above the threshold.
+@example((HorizonModel(1.5, 0.1, HALF, convention=AXIS), -10.0, -5.0))
+@example((HorizonModel(1.5, 0.1, HALF, convention=DEG), -10.0, -5.0))
 def test_horizon_distance_matches_quadrature(case):
     model, t_i, t_f = case
     value = horizon_distance(model, t_i, t_f)

@@ -16,7 +16,6 @@ from lrcone.lrbound import BoundEvaluator, ConvergenceError, Couplings, DpCountS
 from lrcone.velocity import (
     ArrivalTime,
     _line_fit,
-    analytic_velocity,
     arrival_time,
     extract_velocity,
     fit_lightcone,
@@ -62,22 +61,8 @@ def test_kappa_optimum_is_one_and_objective_is_e():
     ],
 )
 def test_analytic_velocity_closed_forms(g, J, expected):
-    cpl = Couplings(g=g, J=J)
-    opt = optimize_kappa(cpl)
+    opt = optimize_kappa(Couplings(g=g, J=J))
     assert opt.v_lr == pytest.approx(expected, rel=1e-12)
-    assert analytic_velocity(cpl) == pytest.approx(opt.v_lr, rel=1e-12)
-
-
-@given(
-    g=st.floats(0.01, 10.0),
-    J=st.floats(0.01, 10.0),
-    step=st.floats(0.1, 2.0, exclude_min=True),
-)
-@settings(max_examples=200, deadline=None)
-def test_analytic_velocity_is_the_kappa_optimum_exactly(g, J, step):
-    # One formula: the artifact's kappa.v_lr and analytic_velocity agree to the bit.
-    cpl = Couplings(g=g, J=J, step_factor=step)
-    assert analytic_velocity(cpl) == optimize_kappa(cpl).v_lr
 
 
 def test_objective_unimodal_on_grid():
@@ -304,7 +289,8 @@ def test_fitted_velocity_between_coupling_speed_and_analytic(small_window_report
     # spreads at least at the coupling speed scale for the default setup.
     assert small_window_report.fit.velocity <= small_window_report.analytic.v_lr
     assert small_window_report.fit.velocity >= HALF.coupling_speed
-    assert 0.0 < small_window_report.velocity_ratio < 1.0
+    ratio = small_window_report.fit.velocity / small_window_report.analytic.v_lr
+    assert 0.0 < ratio < 1.0
 
 
 def test_threshold_dependence_documented(evaluator):
@@ -330,12 +316,11 @@ def test_profile_augmented_report(evaluator):
     )
     assert report.fit.decay_length == pytest.approx(0.37939769991424843, rel=1e-6)
     assert report.fit.amplitude == pytest.approx(0.0025683628500472277, rel=1e-6)
-    assert report.fit.n_profile == 5
 
 
 def test_report_json_shape(small_window_report):
     doc = velocity_report_to_json_dict(small_window_report)
-    assert doc["schema_version"] == 2
+    assert "schema_version" not in doc  # the CLI's echo carries it
     assert doc["couplings"]["g"] == 0.5
     assert [d for d, _ in doc["arrivals"]] == [4, 6, 8, 10, 12]
     assert doc["fit"]["v"] == small_window_report.fit.velocity
