@@ -1,6 +1,7 @@
 """Walk-counting and light-cone tools for a link/plaquette lattice model.
 
 Subpackages:
+    couplings  model couplings record and the numerical-failure base (a leaf module)
     lattice    decorated bipartite graph of links and plaquettes
     pathcount  exact walk counts (closed-form columns + dynamic programming + bounds)
     lrbound    commutator-growth bound series with certified truncation

@@ -17,6 +17,10 @@ Every output artifact embeds the resolved run configuration
 goes to a ``<output>.meta.json`` sidecar, never into the body; the velocity
 sidecar also counts the run's bound evaluations.  Every table
 goes through `write_table`, every JSON document through `_write_json_doc`.
+
+At import this module loads only `cosmo` and `couplings`; each of count,
+bound and velocity imports its engine (`pathcount`, `lrbound`, `velocity`)
+inside its command, so scan-dim and horizon never load the series code.
 """
 
 from __future__ import annotations
@@ -31,13 +35,7 @@ import time
 from dataclasses import dataclass
 
 from .cosmo import HorizonModel, dimension_scan, lightcone_boundary, model_to_json_dict
-from .lrbound import DEFAULT_STEP_FACTOR, BoundEvaluator, ConvergenceError, Couplings
-from .pathcount import axis_walk_counts, compare_closed_form, fidelity_report
-from .velocity import (
-    ThresholdUnreachableError,
-    extract_velocity,
-    velocity_report_to_json_dict,
-)
+from .couplings import DEFAULT_STEP_FACTOR, Couplings, NumericalFailure
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -160,8 +158,7 @@ def _output_path(cfg: RunConfig, command: str) -> str:
 
 def _write_json_doc(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _write_sidecar(path: str, **counters: int) -> None:
@@ -173,15 +170,14 @@ def _write_sidecar(path: str, **counters: int) -> None:
 def write_table(path: str, fmt: str, columns: list[str], rows: list[tuple], echo: dict) -> None:
     """Rows as CSV under a "# config: <echo>" line, or as one JSON document.
 
-    Floats are written with repr, so they read back exactly.
+    csv and json both write floats with repr, so they read back exactly.
     """
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             fh.write("# config: " + json.dumps(echo, sort_keys=True) + "\n")
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+            writer.writerows(rows)
     else:
         _write_json_doc(path, {**echo, "columns": columns, "rows": [list(r) for r in rows]})
 
@@ -203,6 +199,8 @@ def _parse_list(text: str, kind: type, *, name: str) -> list:
 
 
 def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .pathcount import axis_walk_counts, compare_closed_form, fidelity_report
+
     if not 0 <= args.nmax <= COUNT_LIMIT:
         raise ValueError(f"--nmax must lie in [0, {COUNT_LIMIT}], got {args.nmax}")
     d_list = _parse_list(args.d, int, name="--d")
@@ -236,6 +234,8 @@ def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .lrbound import BoundEvaluator
+
     t_list = _parse_list(args.t, float, name="--t")
     d_list = _parse_list(args.d, int, name="--d")
     if not all(t >= 0 and math.isfinite(t) for t in t_list):
@@ -261,13 +261,19 @@ def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_velocity(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from .lrbound import BoundEvaluator
+    from .velocity import extract_velocity, velocity_report_to_json_dict
+
     if args.dmin < 1 or args.dmax < args.dmin or args.dstep < 1:
         raise ValueError(
             f"need 1 <= dmin <= dmax and dstep >= 1, got "
             f"dmin={args.dmin}, dmax={args.dmax}, dstep={args.dstep}"
         )
     if cfg.format != "json":
-        raise ValueError("velocity emits a JSON report; use --format json")
+        raise ValueError(
+            f"velocity emits a JSON report; config key output.format must be json, "
+            f"got {cfg.format!r}"
+        )
     evaluator = BoundEvaluator(cfg.couplings, rel_tol=cfg.rel_tol)
     # The work budget sees the window's last distance before any list is built.
     last = args.dmin + (args.dmax - args.dmin) // args.dstep * args.dstep
@@ -423,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         default_format = "json" if args.command == "velocity" else "csv"
         cfg = resolve_config(args, default_format=default_format)
         return args.func(cfg, args)
-    except (ConvergenceError, ThresholdUnreachableError) as exc:
+    except NumericalFailure as exc:
         print(f"lrcone {args.command}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

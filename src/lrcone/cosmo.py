@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lrbound import Couplings
+from .couplings import Couplings
 
 PLAQUETTE_THRESHOLD = 2.0  # below two dimensions there are no square faces
 

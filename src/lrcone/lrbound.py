@@ -43,14 +43,17 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
+from .couplings import Couplings, NumericalFailure
 from .pathcount import extend_walk_counts
+
+# Not used here; re-exported, so the series API offers the default step factor
+# next to Couplings.
+from .couplings import DEFAULT_STEP_FACTOR  # noqa: F401
 
 # Not used here; perfbench's traced run (--trace 1) patches this attribute.
 from .pathcount import axis_walk_counts  # noqa: F401
-
-DEFAULT_STEP_FACTOR = math.sqrt(2.0)
 
 # The kappa-derivative of log tail(N) is (N + 5 - 2 d) + y / (1 - y) with
 # y = x / (N + 2) in (0, 1).  A tail is accepted once it is <= rel_tol times
@@ -79,58 +82,8 @@ _TINY = 1e-290
 _HUGE = 1e300
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalFailure):
     """The truncated series could not be certified within the term budget."""
-
-
-@dataclass(frozen=True)
-class Couplings:
-    """Model couplings and observable norms entering the bound prefactor.
-
-    g multiplies the charging-energy term, J the plaquette term; the bound
-    depends on them only through the product g J.  step_factor is the
-    per-step weight (0 < step_factor <= 2).
-    """
-
-    g: float
-    J: float
-    origin_norm: float = 1.0
-    probe_norm: float = 1.0
-    step_factor: float = DEFAULT_STEP_FACTOR
-
-    def __post_init__(self) -> None:
-        if not (self.g > 0 and math.isfinite(self.g)):
-            raise ValueError(f"g must be finite and > 0, got {self.g}")
-        if not (self.J > 0 and math.isfinite(self.J)):
-            raise ValueError(f"J must be finite and > 0, got {self.J}")
-        if not (self.origin_norm > 0 and math.isfinite(self.origin_norm)):
-            raise ValueError(f"origin_norm must be finite and > 0, got {self.origin_norm}")
-        if not (self.probe_norm > 0 and math.isfinite(self.probe_norm)):
-            raise ValueError(f"probe_norm must be finite and > 0, got {self.probe_norm}")
-        if not (0.0 < self.step_factor <= 2.0):
-            raise ValueError(f"step_factor must lie in (0, 2], got {self.step_factor}")
-        # The cone velocity takes sqrt(8 g J) and every series term log(g J),
-        # so 8 g J must be finite and g J a normal float.
-        gJ = self.g * self.J
-        if not (sys.float_info.min <= gJ and math.isfinite(8.0 * gJ)):
-            raise ValueError(
-                f"g*J must lie in [{sys.float_info.min}, {sys.float_info.max / 8}], "
-                f"got g*J = {gJ} (g = {self.g}, J = {self.J})"
-            )
-
-    @property
-    def coupling_speed(self) -> float:
-        """Natural velocity scale sqrt(2 g J) of the quadratic theory."""
-        return math.sqrt(2.0 * self.g * self.J)
-
-    @property
-    def prefactor(self) -> float:
-        """Overall factor 2 |P| |Q| multiplying the series."""
-        return 2.0 * self.origin_norm * self.probe_norm
-
-    def to_json_dict(self) -> dict:
-        """The five fields by name, as every artifact echoes them."""
-        return asdict(self)
 
 
 def log_series_term(n: int, count: int, t: float, couplings: Couplings) -> float:

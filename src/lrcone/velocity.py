@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lrbound import BoundEvaluator, Couplings
+from .couplings import Couplings, NumericalFailure
+from .lrbound import BoundEvaluator
 
 
 # Fewest arrivals (and profile samples) a fit accepts, and the smallest
@@ -30,7 +31,7 @@ MIN_POINTS = 4
 MIN_DISTANCE_RATIO = 2.0
 
 
-class ThresholdUnreachableError(RuntimeError):
+class ThresholdUnreachableError(NumericalFailure):
     """Bracket expansion failed to enclose the requested threshold."""
 
 
