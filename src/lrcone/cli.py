@@ -15,8 +15,10 @@ conventions.
 Every output artifact embeds the resolved run configuration
 (schema_version 2) and is byte-identical across reruns; wall-clock metadata
 goes to a ``<output>.meta.json`` sidecar, never into the body; the velocity
-sidecar also counts the run's bound evaluations.  Every table
-goes through `write_table`, every JSON document through `_write_json_doc`.
+sidecar also counts the run's bound evaluations.  This module alone shapes
+every artifact (tables, velocity report, fidelity report, model echo); the
+engines return numbers.  Every table goes through `write_table`, every JSON
+document through `_write_json_doc`.
 
 At import this module loads only `cosmo` and `couplings`; each of count,
 bound and velocity imports its engine (`pathcount`, `lrbound`, `velocity`)
@@ -34,7 +36,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .cosmo import HorizonModel, dimension_scan, lightcone_boundary, model_to_json_dict
+from .cosmo import HorizonModel, dimension_scan, lightcone_boundary
 from .couplings import DEFAULT_STEP_FACTOR, Couplings, NumericalFailure
 
 EXIT_OK = 0
@@ -117,7 +119,7 @@ def resolve_config(args: argparse.Namespace, *, default_format: str = "csv") -> 
     A file value of null counts as absent.
     """
     doc: dict = {}
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         with open(args.config) as fh:
             doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -199,7 +201,7 @@ def _parse_list(text: str, kind: type, *, name: str) -> list:
 
 
 def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
-    from .pathcount import axis_walk_counts, compare_closed_form, fidelity_report
+    from .pathcount import axis_walk_counts, count_walks_closed_form
 
     if not 0 <= args.nmax <= COUNT_LIMIT:
         raise ValueError(f"--nmax must lie in [0, {COUNT_LIMIT}], got {args.nmax}")
@@ -208,25 +210,35 @@ def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError(f"--d entries must lie in [0, {COUNT_LIMIT}], got {d_list}")
 
     table = axis_walk_counts(args.nmax, max(d_list))
-    comparisons = compare_closed_form(table.count, range(args.nmax + 1), d_list)
+    rows = []
+    for d in d_list:
+        for n in range(args.nmax + 1):
+            dp, closed = table.count(n, d), count_walks_closed_form(n, d)
+            rows.append((n, d, dp, closed, int(dp == closed)))
+    mismatches = [
+        {"n": n, "d": d, "dp": dp, "closed_form": closed}
+        for n, d, dp, closed, match in rows
+        if not match
+    ]
     path = _output_path(cfg, "count")
     write_table(
-        path,
-        cfg.format,
-        ["n", "d", "dp_count", "closed_form", "match_flag"],
-        [(c.n, c.d, c.dp, c.closed_form, int(c.match)) for c in comparisons],
-        _echo(cfg),
+        path, cfg.format, ["n", "d", "dp_count", "closed_form", "match_flag"], rows, _echo(cfg)
     )
-    report = fidelity_report(
-        comparisons, context={**_echo(cfg), "n_max": args.nmax, "d_values": d_list}
-    )
-    _write_json_doc(path + ".fidelity.json", report)
+    fidelity = {
+        "schema_version": 1,
+        "pair_family": "same-orientation links, d grid steps perpendicular to the link axis",
+        "canonical_source": "dp",
+        "entries_compared": len(rows),
+        "mismatch_count": len(mismatches),
+        "mismatches": mismatches,
+        "context": {**_echo(cfg), "n_max": args.nmax, "d_values": d_list},
+    }
+    _write_json_doc(path + ".fidelity.json", fidelity)
     _write_sidecar(path)
-    if report["mismatch_count"]:
+    if mismatches:
         print(
             f"closed form disagrees with the dynamic program on "
-            f"{report['mismatch_count']} of {report['entries_compared']} entries; "
-            f"see {path}.fidelity.json",
+            f"{len(mismatches)} of {len(rows)} entries; see {path}.fidelity.json",
             file=sys.stderr,
         )
         return EXIT_MISMATCH
@@ -262,7 +274,7 @@ def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_velocity(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .lrbound import BoundEvaluator
-    from .velocity import extract_velocity, velocity_report_to_json_dict
+    from .velocity import extract_velocity
 
     if args.dmin < 1 or args.dmax < args.dmin or args.dstep < 1:
         raise ValueError(
@@ -286,7 +298,31 @@ def cmd_velocity(cfg: RunConfig, args: argparse.Namespace) -> int:
         evaluator=evaluator,
         include_profile=True,
     )
-    doc = {**velocity_report_to_json_dict(report), **_echo(cfg)}
+    fit, kappa = report.fit, report.analytic
+    doc = {
+        **_echo(cfg),
+        "couplings": cfg.couplings.to_json_dict(),
+        "epsilon": cfg.epsilon,
+        "d_values": d_values,
+        "arrivals": [[a.d, a.time] for a in report.arrivals],
+        "arrival_bounds": [a.bound_value for a in report.arrivals],
+        "fit": {
+            "v": fit.velocity,
+            "xi": fit.decay_length,
+            "A": fit.amplitude,
+            "residual_rms": fit.residual_rms,
+            "front_offset": fit.front_offset,
+            "r_squared": fit.r_squared,
+        },
+        "kappa": {
+            "kappa_star": kappa.kappa_star,
+            "objective_min": kappa.objective_min,
+            "v_lr": kappa.v_lr,
+        },
+        "ratio_v_over_c": fit.velocity / cfg.couplings.coupling_speed,
+        "ratio_v_over_v_lr": fit.velocity / kappa.v_lr,
+        "subwindow_slopes": list(report.subwindow_slopes),
+    }
     path = _output_path(cfg, "velocity")
     _write_json_doc(path, doc)
     _write_sidecar(path, evaluations=evaluator.evaluations)
@@ -330,7 +366,16 @@ def cmd_horizon(cfg: RunConfig, args: argparse.Namespace) -> int:
         cfg.format,
         ["t", "r_axis_pairs", "r_degrees"],
         lightcone_boundary(model, 0.0, args.tf, args.steps),
-        {**_echo(cfg), "model": model_to_json_dict(model)},
+        {
+            **_echo(cfg),
+            "model": {
+                "D_in": model.D_in,
+                "alpha": model.alpha,
+                "couplings": cfg.couplings.to_json_dict(),
+                "convention": model.convention.value,
+                "mode": model.mode,
+            },
+        },
     )
     _write_sidecar(path)
     return EXIT_OK

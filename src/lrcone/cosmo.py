@@ -242,16 +242,6 @@ def lightcone_boundary(
     return rows
 
 
-def model_to_json_dict(model: HorizonModel) -> dict:
-    return {
-        "D_in": model.D_in,
-        "alpha": model.alpha,
-        "couplings": model.couplings.to_json_dict(),
-        "convention": model.convention.value,
-        "mode": model.mode,
-    }
-
-
 def dimension_scan(d_values: Sequence[float], couplings: Couplings) -> list[tuple[float, float, float]]:
     """Rows of (D, v_axis_pairs, v_degrees) for a dimension sweep, in strict mode."""
     return [

@@ -3,7 +3,7 @@
 A leaf module, importing nothing else from the package: the horizon model
 (`cosmo`) and the command-line front end take their parameter record from
 here without loading the series engine (`lrbound`, `pathcount`,
-`velocity`).  `lrbound` re-exports `Couplings` and `DEFAULT_STEP_FACTOR`.
+`velocity`).  `lrbound` re-exports `Couplings`.
 """
 
 from __future__ import annotations

@@ -48,10 +48,6 @@ from dataclasses import dataclass
 from .couplings import Couplings, NumericalFailure
 from .pathcount import extend_walk_counts
 
-# Not used here; re-exported, so the series API offers the default step factor
-# next to Couplings.
-from .couplings import DEFAULT_STEP_FACTOR  # noqa: F401
-
 # Not used here; perfbench's traced run (--trace 1) patches this attribute.
 from .pathcount import axis_walk_counts  # noqa: F401
 

@@ -16,16 +16,15 @@ allowed.  Three count sources exist:
   one folded quadrant of the implicit infinite plane (`axis_walk_counts`).
   It is the independent oracle the closed form is tested against, and the
   reference `lrcone count` audits the paper's formula against.
-* the paper's literal binomial expression (`count_walks_closed_form`),
-  compared entry-by-entry against the dynamic program; every discrepancy is
-  collected into a machine-readable fidelity report.
+* the paper's literal binomial expression (`count_walks_closed_form`), kept
+  as written so that its disagreement with the dynamic program stays visible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from .lattice import DecoratedLattice, LatticeSpec
@@ -336,55 +335,3 @@ def gross_upper_bound(n: int, d: int, kappa: float) -> float:
     if log_value > 700.0:
         return math.inf
     return math.exp(log_value)
-
-
-# ---------------------------------------------------------------------------
-# Fidelity comparison: closed form versus dynamic program.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountComparison:
-    n: int
-    d: int
-    dp: int
-    closed_form: int
-
-    @property
-    def match(self) -> bool:
-        return self.dp == self.closed_form
-
-
-def compare_closed_form(
-    dp_count: Callable[[int, int], int],
-    n_values: Iterable[int],
-    d_values: Iterable[int],
-) -> list[CountComparison]:
-    """Entry-by-entry comparison over a grid of (n, d)."""
-    out = []
-    for d in d_values:
-        for n in n_values:
-            out.append(
-                CountComparison(
-                    n=n, d=d, dp=dp_count(n, d), closed_form=count_walks_closed_form(n, d)
-                )
-            )
-    return out
-
-
-def fidelity_report(comparisons: Sequence[CountComparison], context: dict | None = None) -> dict:
-    """Machine-readable mismatch report of the literal formula against the dynamic program."""
-    mismatches = [c for c in comparisons if not c.match]
-    return {
-        "schema_version": 1,
-        "pair_family": "same-orientation links, d grid steps perpendicular to the link axis",
-        "canonical_source": "dp",
-        "entries_compared": len(comparisons),
-        "mismatch_count": len(mismatches),
-        "mismatches": [
-            {"n": c.n, "d": c.d, "dp": c.dp, "closed_form": c.closed_form}
-            for c in mismatches
-        ],
-        "context": context or {},
-    }
-

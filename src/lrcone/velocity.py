@@ -340,9 +340,6 @@ def fit_lightcone(
 
 @dataclass(frozen=True)
 class VelocityReport:
-    couplings: Couplings
-    epsilon: float
-    d_values: tuple[int, ...]
     arrivals: tuple[ArrivalTime, ...]
     fit: LightConeFit
     analytic: KappaOptimum
@@ -391,38 +388,8 @@ def extract_velocity(
     trail = _line_fit(ts[half:], ds[half:])[0]
 
     return VelocityReport(
-        couplings=couplings,
-        epsilon=epsilon,
-        d_values=d_values,
         arrivals=arrivals,
         fit=fit,
         analytic=optimize_kappa(couplings),
         subwindow_slopes=(lead, trail),
     )
-
-
-def velocity_report_to_json_dict(report: VelocityReport) -> dict:
-    """The report's fields; the CLI adds the schema_version and config echo."""
-    return {
-        "couplings": report.couplings.to_json_dict(),
-        "epsilon": report.epsilon,
-        "d_values": list(report.d_values),
-        "arrivals": [[a.d, a.time] for a in report.arrivals],
-        "arrival_bounds": [a.bound_value for a in report.arrivals],
-        "fit": {
-            "v": report.fit.velocity,
-            "xi": report.fit.decay_length,
-            "A": report.fit.amplitude,
-            "residual_rms": report.fit.residual_rms,
-            "front_offset": report.fit.front_offset,
-            "r_squared": report.fit.r_squared,
-        },
-        "kappa": {
-            "kappa_star": report.analytic.kappa_star,
-            "objective_min": report.analytic.objective_min,
-            "v_lr": report.analytic.v_lr,
-        },
-        "ratio_v_over_c": report.fit.velocity / report.couplings.coupling_speed,
-        "ratio_v_over_v_lr": report.fit.velocity / report.analytic.v_lr,
-        "subwindow_slopes": list(report.subwindow_slopes),
-    }

@@ -27,9 +27,8 @@ from lrcone.lattice import LatticeSpec, build_decorated_lattice
 from lrcone.lrbound import COLUMN_STEP, BoundEvaluator, Couplings, DpCountSource
 from lrcone.pathcount import (
     centered_axis_link,
-    compare_closed_form,
+    count_walks_closed_form,
     count_walks_dp,
-    fidelity_report,
     gross_upper_bound,
     perpendicular_target,
 )
@@ -207,22 +206,24 @@ def test_criterion_4_walk_count_invariants_and_fidelity(tmp_path):
 
     # The closed-form comparison must run to completion and, carrying
     # mismatches as it does, drive the CLI to the fidelity exit code.
-    comparisons = compare_closed_form(
-        lambda n, d: table.count(n, targets[d]), range(n_max + 1), range(d_max + 1)
-    )
-    report = fidelity_report(comparisons)
+    comparisons = [
+        (table.count(n, targets[d]), count_walks_closed_form(n, d))
+        for d in range(d_max + 1)
+        for n in range(n_max + 1)
+    ]
+    mismatch_count = sum(dp != closed for dp, closed in comparisons)
     out = tmp_path / "counts.csv"
     exit_code = cli.main(
         ["count", "--nmax", str(n_max), "--d", ",".join(map(str, targets)),
          "--output", str(out)]
     )
     fidelity_written = (tmp_path / "counts.csv.fidelity.json").exists()
-    cli_consistent = (exit_code == cli.EXIT_MISMATCH) == (report["mismatch_count"] > 0)
+    cli_consistent = (exit_code == cli.EXIT_MISMATCH) == (mismatch_count > 0)
     runtime = time.perf_counter() - t0
 
     ok = (
         not failures
-        and report["entries_compared"] == (n_max + 1) * (d_max + 1)
+        and len(comparisons) == (n_max + 1) * (d_max + 1)
         and fidelity_written
         and cli_consistent
         and runtime < 30.0
@@ -230,12 +231,12 @@ def test_criterion_4_walk_count_invariants_and_fidelity(tmp_path):
     _verdict(
         4,
         ok,
-        f"{len(comparisons)} grid entries, {report['mismatch_count']} closed-form "
+        f"{len(comparisons)} grid entries, {mismatch_count} closed-form "
         f"mismatches (exit code {exit_code}), invariant failures = {len(failures)}, "
         f"runtime = {runtime:.1f} s",
     )
     assert not failures, failures[:5]
-    assert report["entries_compared"] == (n_max + 1) * (d_max + 1)
+    assert len(comparisons) == (n_max + 1) * (d_max + 1)
     assert fidelity_written
     assert cli_consistent
     assert runtime < 30.0

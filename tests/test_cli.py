@@ -20,7 +20,6 @@ from lrcone.cosmo import (
     BranchingConvention,
     HorizonModel,
     lightcone_boundary,
-    model_to_json_dict,
     v_lr_dimension,
 )
 from lrcone.lrbound import BoundEvaluator, Couplings, DpCountSource
@@ -262,13 +261,25 @@ def test_velocity_report_matches_library(tmp_path):
     assert meta["output"] == str(out)
     assert meta["evaluations"] == ref_evaluator.evaluations
     assert meta["evaluations"] == sum(a.evaluations for a in ref.arrivals) + 4
-    assert doc["fit"]["v"] == pytest.approx(ref.fit.velocity, rel=1e-12)
-    assert doc["fit"]["xi"] == pytest.approx(ref.fit.decay_length, rel=1e-12)
+    assert set(doc) == {
+        "schema_version", "config", "couplings", "epsilon", "d_values", "arrivals",
+        "arrival_bounds", "fit", "kappa", "ratio_v_over_c", "ratio_v_over_v_lr",
+        "subwindow_slopes",
+    }
+    # Both sides run the same arithmetic, so every value agrees exactly.
+    assert doc["fit"] == {
+        "v": ref.fit.velocity,
+        "xi": ref.fit.decay_length,
+        "A": ref.fit.amplitude,
+        "residual_rms": ref.fit.residual_rms,
+        "front_offset": ref.fit.front_offset,
+        "r_squared": ref.fit.r_squared,
+    }
+    assert doc["arrivals"] == [[a.d, a.time] for a in ref.arrivals]
+    assert doc["arrival_bounds"] == [a.bound_value for a in ref.arrivals]
+    assert doc["subwindow_slopes"] == list(ref.subwindow_slopes)
     assert doc["kappa"]["kappa_star"] == 1.0
     assert doc["kappa"]["v_lr"] == pytest.approx(math.sqrt(2) * math.e * math.sqrt(0.5), rel=1e-14)
-    arrivals = dict((int(d), t) for d, t in doc["arrivals"])
-    for arrival in ref.arrivals:
-        assert arrivals[arrival.d] == pytest.approx(arrival.time, rel=1e-12)
 
 
 def test_velocity_defaults_reproduce_headline_configuration():
@@ -398,7 +409,16 @@ def test_horizon_csv_roundtrip(tmp_path):
     assert lines[0].startswith("# config: ")
     echoed = json.loads(lines[0].removeprefix("# config: "))
     model = HorizonModel(D_in=6.0, alpha=0.02, couplings=Couplings(g=0.5, J=0.5))
-    assert echoed["model"] == model_to_json_dict(model)
+    assert echoed["model"] == {
+        "D_in": 6.0,
+        "alpha": 0.02,
+        "couplings": {
+            "g": 0.5, "J": 0.5, "origin_norm": 1.0, "probe_norm": 1.0,
+            "step_factor": math.sqrt(2.0),
+        },
+        "convention": "axis_pairs",
+        "mode": "toy",
+    }
     assert lines[1] == "t,r_axis_pairs,r_degrees"
     assert len(lines) == 2 + 6
     parsed = [tuple(float(x) for x in line.split(",")) for line in lines[2:]]
@@ -839,3 +859,13 @@ def test_malformed_and_missing_config_files_exit_1(tmp_path):
     assert run("bound", "--config", str(broken), "--output", str(tmp_path / "x")) == 1
     assert run("bound", "--config", str(tmp_path / "nope.json"),
                "--output", str(tmp_path / "x")) == 1
+
+
+def test_empty_config_path_fails_like_empty_output_path(tmp_path, capsys):
+    # An empty --config names no file; it must not fall back to the defaults.
+    out = tmp_path / "o.csv"
+    assert run("bound", "--config", "", "--output", str(out)) == cli.EXIT_USAGE
+    assert "No such file" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("bound", "--output", "") == cli.EXIT_USAGE
+    assert "No such file" in capsys.readouterr().err

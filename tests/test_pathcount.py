@@ -6,6 +6,7 @@ program; the dynamic program in turn is the oracle for the per-distance
 closed-form columns the bound series uses.
 """
 
+import json
 import math
 from collections import Counter
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrcone import cli
 from lrcone.lattice import LatticeSpec, build_decorated_lattice, graph_distance
 from lrcone.pathcount import (
     AxisWalkCounts,
@@ -20,11 +22,9 @@ from lrcone.pathcount import (
     axis_walk_counts,
     centered_axis_link,
     check_extent_guard,
-    compare_closed_form,
     count_walks_closed_form,
     count_walks_dp,
     extend_walk_counts,
-    fidelity_report,
     gross_upper_bound,
     perpendicular_target,
     walk_count_column,
@@ -350,10 +350,11 @@ def test_closed_form_empty_sum_and_validation():
         count_walks_closed_form(4, -2)
 
 
-def test_fidelity_report_flags_divergence():
-    aw = axis_walk_counts(10, 4)
-    comparisons = compare_closed_form(aw.count, range(11), range(5))
-    report = fidelity_report(comparisons, context={"n_max": 10, "d_max": 4})
+def test_fidelity_report_flags_divergence(tmp_path):
+    out = tmp_path / "counts.csv"
+    code = cli.main(["count", "--nmax", "10", "--d", "0,1,2,3,4", "--output", str(out)])
+    assert code == cli.EXIT_MISMATCH
+    report = json.loads((tmp_path / "counts.csv.fidelity.json").read_text())
     assert report["canonical_source"] == "dp"
     assert report["entries_compared"] == 55
     assert report["mismatch_count"] > 0

@@ -5,6 +5,7 @@ table and are regression-pinned; synthetic-model tests check that each fit
 recovers its own model class to near machine precision.
 """
 
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lrcone import cli
 from lrcone.lrbound import BoundEvaluator, ConvergenceError, Couplings, DpCountSource
 from lrcone.velocity import (
     ArrivalTime,
@@ -21,7 +23,6 @@ from lrcone.velocity import (
     fit_lightcone,
     geodesic_bracket_time,
     optimize_kappa,
-    velocity_report_to_json_dict,
 )
 
 from reference import bisect_arrival_time, exact_line_fit
@@ -318,9 +319,12 @@ def test_profile_augmented_report(evaluator):
     assert report.fit.amplitude == pytest.approx(0.0025683628500472277, rel=1e-6)
 
 
-def test_report_json_shape(small_window_report):
-    doc = velocity_report_to_json_dict(small_window_report)
-    assert "schema_version" not in doc  # the CLI's echo carries it
+def test_report_json_shape(small_window_report, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["velocity", "--dmin", "4", "--dmax", "12", "--epsilon", "1e-6", "--output", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["schema_version"] == 2  # the CLI's echo carries it
     assert doc["couplings"]["g"] == 0.5
     assert [d for d, _ in doc["arrivals"]] == [4, 6, 8, 10, 12]
     assert doc["fit"]["v"] == small_window_report.fit.velocity
