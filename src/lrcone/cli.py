@@ -419,7 +419,16 @@ def _add_config_flags(parser: argparse.ArgumentParser, keys: str) -> None:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="lrcone", description=__doc__)
+    parser = _Parser(
+        prog="lrcone",
+        description=(
+            "Walk-count Lieb-Robinson bounds on the link/plaquette graph, their "
+            "light-cone velocity, and horizon profiles.  Subcommands: count, bound, "
+            "velocity, scan-dim, horizon; each takes --help.  Exit codes: 0 success, "
+            "1 usage or validation error, 2 closed-form fidelity mismatch, "
+            "3 numerical failure (non-convergent series or unreachable threshold)."
+        ),
+    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_count = sub.add_parser("count", help="exact walk counts versus the closed form")

@@ -24,14 +24,13 @@ count source's hard_n_limit is its only work budget.
 
 The series loop does O(1) work per length n.  The count source grows each
 column in place with its t-independent pieces, math.log of the counts and
-math.lgamma(n + 1), so a log-term is four float operations in
-log_series_term's order, n log(step t) + log count + (n/2) log(g J) -
-lgamma(n + 1), exponentiated with math.exp (np.exp differs from it in the
-last bit on a few percent of arguments).  The streak and tail tests read a
-running sum of the terms, with a relative margin far above its rounding;
-only a test inside the margin falls back to math.fsum of the terms.  The
-tail is computed by tail_bound's own expression, in its order of
-operations, so the certified tail is the loop's own and equals
+math.lgamma(n + 1), so a log-term is four float operations in this order,
+n log(step t) + log count + (n/2) log(g J) - lgamma(n + 1), exponentiated
+with math.exp (np.exp differs from it in the last bit on a few percent of
+arguments).  The streak and tail tests read a running sum of the terms, with
+a relative margin far above its rounding; only a test inside the margin
+falls back to math.fsum of the terms.  The loop and best_tail_bound compute
+the tail by one expression, `_tail`, so the certified tail equals
 best_tail_bound(n_truncate, ...) bit for bit.  The value is 2 |P| |Q| times
 math.fsum of the terms through n_truncate, so every result equals the
 term-by-term loop's with an fsum and a tail certificate at every n (kept as
@@ -82,58 +81,37 @@ class ConvergenceError(NumericalFailure):
     """The truncated series could not be certified within the term budget."""
 
 
-def log_series_term(n: int, count: int, t: float, couplings: Couplings) -> float:
-    """log of (step t)^n count (gJ)^(n/2) / n!; -inf when the term vanishes."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return -math.inf
-    if t == 0.0:
-        return 0.0 if n == 0 else -math.inf
-    return (
-        n * math.log(couplings.step_factor * t)
-        + math.log(count)
-        + 0.5 * n * math.log(couplings.g * couplings.J)
-        - math.lgamma(n + 1)
-    )
+def _tail_pieces(t: float, d: int, couplings: Couplings) -> tuple[float, float, float]:
+    """x, log x and the n-free part of log tail(N), all at TAIL_KAPPA."""
+    x = couplings.step_factor * t * math.sqrt(8.0 * couplings.g * couplings.J) * math.exp(TAIL_KAPPA)
+    log_x = math.log(x) if x > 0.0 else -math.inf
+    return x, log_x, math.log(2.0 * couplings.prefactor) + TAIL_KAPPA * (4.0 - 2.0 * d)
 
 
-def _tail_x(t: float, couplings: Couplings, kappa: float) -> float:
-    return couplings.step_factor * t * math.sqrt(8.0 * couplings.g * couplings.J) * math.exp(kappa)
-
-
-def tail_bound(n_truncate: int, t: float, d: int, couplings: Couplings, kappa: float) -> float:
-    """Rigorous bound on the series remainder beyond n_truncate.
-
-    Requires kappa > 0; returns inf when x >= n_truncate + 2 (the geometric
-    comparison fails there, so the formula certifies nothing).
-    """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    if n_truncate < 0 or d < 0:
-        raise ValueError(f"n_truncate and d must be >= 0, got {n_truncate}, {d}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    x = _tail_x(t, couplings, kappa)
-    if x >= n_truncate + 2:
+def _tail(n: int, x: float, log_x: float, log_base: float, log_factorial_n1: float) -> float:
+    """tail(n) from _tail_pieces and lgamma(n + 2); inf once x >= n + 2."""
+    if x >= n + 2:
         return math.inf
     if x == 0.0:
         return 0.0
-    log_tail = (
-        math.log(2.0 * couplings.prefactor)
-        + kappa * (4.0 - 2.0 * d)
-        + (n_truncate + 1) * math.log(x)
-        - math.lgamma(n_truncate + 2)
-        - math.log1p(-x / (n_truncate + 2))
-    )
+    log_tail = log_base + (n + 1) * log_x - log_factorial_n1 - math.log1p(-x / (n + 2))
     if log_tail > 700.0:
         return math.inf
     return math.exp(log_tail)
 
 
 def best_tail_bound(n_truncate: int, t: float, d: int, couplings: Couplings) -> float:
-    """The certified tail: tail_bound at TAIL_KAPPA, its minimum once N >= 2 d - 5."""
-    return tail_bound(n_truncate, t, d, couplings, TAIL_KAPPA)
+    """The certified tail beyond n_truncate: the tail formula at TAIL_KAPPA.
+
+    No larger kappa certifies less once n_truncate >= 2 d - 5.  Returns inf
+    when x >= n_truncate + 2 (the geometric comparison fails there, so the
+    formula certifies nothing).
+    """
+    if n_truncate < 0 or d < 0:
+        raise ValueError(f"n_truncate and d must be >= 0, got {n_truncate}, {d}")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    return _tail(n_truncate, *_tail_pieces(t, d, couplings), math.lgamma(n_truncate + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +228,7 @@ def evaluate_bound(
 
     prefactor = couplings.prefactor
     rel_bound = rel_tol * prefactor
-    x = _tail_x(t, couplings, TAIL_KAPPA)
-    log_x = math.log(x) if x > 0.0 else -math.inf
-    log_tail_base = math.log(2.0 * prefactor) + TAIL_KAPPA * (4.0 - 2.0 * d)
+    x, log_x, log_tail_base = _tail_pieces(t, d, couplings)
     log_step_t = math.log(step_t) if t > 0.0 else -math.inf  # unused at t = 0
     log_gj = math.log(couplings.g * couplings.J)
     terms: list[float] = []  # the nonzero-count terms; the zeros add nothing to a sum
@@ -301,21 +277,9 @@ def evaluate_bound(
             streak += 1
             if streak < CONSECUTIVE_SMALL:
                 continue
-            # Tail test, tail <= rel_tol * prefactor * partial sum, with the
-            # tail by tail_bound's expression; a tail clear of the running
-            # bound fails, any other is tried exactly.
-            if x >= n + 2:
-                tail = math.inf
-            elif x == 0.0:
-                tail = 0.0
-            else:
-                log_tail = (
-                    log_tail_base
-                    + (n + 1) * log_x
-                    - log_factorial[n + 1]
-                    - math.log1p(-x / (n + 2))
-                )
-                tail = math.inf if log_tail > 700.0 else math.exp(log_tail)
+            # Tail test, tail <= rel_tol * prefactor * partial sum; a tail
+            # clear of the running bound fails, any other is tried exactly.
+            tail = _tail(n, x, log_x, log_tail_base, log_factorial[n + 1])
             bound = rel_bound * running
             if bound <= _HUGE and tail > max(bound, _TINY) * (1.0 + _MARGIN):
                 continue

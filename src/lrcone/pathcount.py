@@ -7,7 +7,7 @@ allowed.  Three count sources exist:
   for same-orientation link pairs d grid steps apart perpendicular to the
   link axis (the canonical pair family, G' distance exactly 2 d).  It is
   canonical: it grows each count column of the bound series in `lrbound` in
-  place, and `walk_count_column` builds a column with it in one go.
+  place.
 * the neighbor-sum dynamic program
 
       counts(n + 1, v) = sum over u adjacent to v of counts(n, u)
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
-    from .lattice import DecoratedLattice, LatticeSpec
+    from .lattice import DecoratedLattice
 
 DEFAULT_MAX_STORED_ENTRIES = 5_000_000
 
@@ -70,8 +70,6 @@ class PathCountTable:
     the origin regardless of endpoint.
     """
 
-    lattice_spec: LatticeSpec
-    origin: int
     n_max: int
     target_counts: dict[int, tuple[int, ...]]
     layer_totals: tuple[int, ...]
@@ -133,8 +131,6 @@ def count_walks_dp(
             acc.append(vec[q])
 
     return PathCountTable(
-        lattice_spec=lattice.spec,
-        origin=origin,
         n_max=n_max,
         target_counts={q: tuple(acc) for q, acc in per_target.items()},
         layer_totals=tuple(totals),
@@ -241,7 +237,7 @@ def axis_walk_counts(n_max: int, d_max: int) -> AxisWalkCounts:
 
 
 # ---------------------------------------------------------------------------
-# Closed form and crude exponential bound.
+# Closed forms.
 # ---------------------------------------------------------------------------
 
 
@@ -288,13 +284,6 @@ def extend_walk_counts(counts: list[int], edge: list[int], d: int, n_max: int) -
         counts.append(value)
 
 
-def walk_count_column(d: int, n_max: int) -> tuple[int, ...]:
-    """N(n, d) for n = 0 .. n_max, equal to `axis_walk_counts` where both are defined."""
-    counts: list[int] = []
-    extend_walk_counts(counts, [], d, n_max)
-    return tuple(counts)
-
-
 def count_walks_closed_form(n: int, d: int) -> int:
     """Literal binomial-sum expression for the canonical pair count.
 
@@ -319,19 +308,3 @@ def count_walks_closed_form(n: int, d: int) -> int:
         )
         total += term
     return total
-
-
-def gross_upper_bound(n: int, d: int, kappa: float) -> float:
-    """Crude exponential dominating bound 2 * sqrt(8)^n * exp(kappa*(n - 2d + 4)).
-
-    Valid for every kappa > 0.  Returns inf when the value exceeds float range
-    (still a true upper bound).
-    """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be > 0, got {kappa}")
-    if n < 0 or d < 0:
-        raise ValueError(f"n and d must be >= 0, got n = {n}, d = {d}")
-    log_value = math.log(2.0) + 0.5 * n * math.log(8.0) + kappa * (n - 2 * d + 4)
-    if log_value > 700.0:
-        return math.inf
-    return math.exp(log_value)

@@ -71,7 +71,6 @@ def optimize_kappa(couplings: Couplings) -> KappaOptimum:
 class ArrivalTime:
     d: int
     time: float
-    epsilon: float
     bound_value: float
     evaluations: int
 
@@ -158,7 +157,6 @@ def arrival_time(d: int, epsilon: float, evaluator: BoundEvaluator) -> ArrivalTi
     return ArrivalTime(
         d=d,
         time=t_star,
-        epsilon=epsilon,
         bound_value=final.value,
         evaluations=evaluator.evaluations - start,
     )

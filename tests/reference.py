@@ -24,9 +24,20 @@ antiderivative, so it shares nothing with the closed form under test.
 `scalar_evaluate_bound` and `bisect_arrival_time` are the series loop with
 an fsum and a tail certificate at every term, and the plain arrival
 bisection, that `lrcone` used before its O(1)-per-term loop and its secant
-replay.  They share the building blocks (log_series_term, best_tail_bound,
-the count source) with the code under test, and must give its results bit
-for bit.  They import `lrcone`, and horizon_radius_quadrature numpy, only
+replay.  They share best_tail_bound and the count source with the code under
+test, and must give its results bit for bit.
+
+Helpers that `lrcone` once shipped and only tests reached:
+
+* `log_series_term`, one log-term of the series in the order the loop
+  sums it, which `scalar_evaluate_bound` uses;
+* `tail_bound`, the series tail at any kappa > 0, restated apart from
+  `lrbound`'s own expression, which it equals at TAIL_KAPPA bit for bit;
+* `walk_count_column`, one closed-form count column built in one go;
+* `gross_upper_bound`, the crude exponential that dominates every count and
+  that the tail is derived from.
+
+Everything here imports `lrcone`, and horizon_radius_quadrature numpy, only
 when called, so loading this module for `exact_bound_series` stays cheap.
 """
 
@@ -201,7 +212,6 @@ def scalar_evaluate_bound(t, d, couplings, *, source=None, rel_tol=1e-10):
         ConvergenceError,
         DpCountSource,
         best_tail_bound,
-        log_series_term,
     )
 
     if not (t >= 0 and math.isfinite(t)):
@@ -278,3 +288,74 @@ def bisect_arrival_time(d, epsilon, evaluator, *, time_rel_tol=1e-10, max_expans
             t_lo = mid
     t_star = 0.5 * (t_lo + t_hi)
     return t_star, evaluator.evaluate(t_star, d).value, evaluations + 1
+
+
+def log_series_term(n: int, count: int, t: float, couplings) -> float:
+    """log of (step t)^n count (gJ)^(n/2) / n!; -inf when the term vanishes."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if count == 0:
+        return -math.inf
+    if t == 0.0:
+        return 0.0 if n == 0 else -math.inf
+    return (
+        n * math.log(couplings.step_factor * t)
+        + math.log(count)
+        + 0.5 * n * math.log(couplings.g * couplings.J)
+        - math.lgamma(n + 1)
+    )
+
+
+def tail_bound(n_truncate: int, t: float, d: int, couplings, kappa: float) -> float:
+    """Rigorous bound on the series remainder beyond n_truncate, at any kappa > 0.
+
+    4 |P| |Q| exp(kappa (4 - 2 d)) x^(N+1) / (N+1)! / (1 - x / (N+2)) with
+    x = step t sqrt(8 g J) exp(kappa); inf when x >= n_truncate + 2 (the
+    geometric comparison fails there, so the formula certifies nothing).
+    """
+    if kappa <= 0:
+        raise ValueError(f"kappa must be > 0, got {kappa}")
+    if n_truncate < 0 or d < 0:
+        raise ValueError(f"n_truncate and d must be >= 0, got {n_truncate}, {d}")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    x = couplings.step_factor * t * math.sqrt(8.0 * couplings.g * couplings.J) * math.exp(kappa)
+    if x >= n_truncate + 2:
+        return math.inf
+    if x == 0.0:
+        return 0.0
+    log_tail = (
+        math.log(2.0 * couplings.prefactor)
+        + kappa * (4.0 - 2.0 * d)
+        + (n_truncate + 1) * math.log(x)
+        - math.lgamma(n_truncate + 2)
+        - math.log1p(-x / (n_truncate + 2))
+    )
+    if log_tail > 700.0:
+        return math.inf
+    return math.exp(log_tail)
+
+
+def walk_count_column(d: int, n_max: int) -> tuple:
+    """N(n, d) for n = 0 .. n_max, equal to `axis_walk_counts` where both are defined."""
+    from lrcone.pathcount import extend_walk_counts
+
+    counts: list = []
+    extend_walk_counts(counts, [], d, n_max)
+    return tuple(counts)
+
+
+def gross_upper_bound(n: int, d: int, kappa: float) -> float:
+    """Crude exponential dominating bound 2 * sqrt(8)^n * exp(kappa*(n - 2d + 4)).
+
+    Valid for every kappa > 0.  Returns inf when the value exceeds float range
+    (still a true upper bound).
+    """
+    if kappa <= 0:
+        raise ValueError(f"kappa must be > 0, got {kappa}")
+    if n < 0 or d < 0:
+        raise ValueError(f"n and d must be >= 0, got n = {n}, d = {d}")
+    log_value = math.log(2.0) + 0.5 * n * math.log(8.0) + kappa * (n - 2 * d + 4)
+    if log_value > 700.0:
+        return math.inf
+    return math.exp(log_value)

@@ -29,12 +29,11 @@ from lrcone.pathcount import (
     centered_axis_link,
     count_walks_closed_form,
     count_walks_dp,
-    gross_upper_bound,
     perpendicular_target,
 )
 from lrcone.velocity import extract_velocity, optimize_kappa
 
-from reference import exact_bound_series, saddle_velocity
+from reference import exact_bound_series, gross_upper_bound, saddle_velocity
 
 HEADLINE = Couplings(g=0.5, J=0.5)
 HEADLINE_EPSILON = 1e-8

@@ -506,6 +506,20 @@ def test_help_exits_0(capsys):
     assert "count" in capsys.readouterr().out
 
 
+def test_help_lists_exit_codes_without_developer_notes(capsys):
+    assert run("--help") == cli.EXIT_OK
+    out = " ".join(capsys.readouterr().out.split())
+    for code in (
+        "0 success",
+        "1 usage or validation error",
+        "2 closed-form fidelity mismatch",
+        "3 numerical failure",
+    ):
+        assert code in out
+    assert "_CONFIG_DEFAULTS" not in out
+    assert "write_table" not in out
+
+
 def test_negative_coupling_rejected(tmp_path):
     assert run("bound", "--g", "-1", "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
     assert run("bound", "--step-factor", "3.0", "--output", str(tmp_path / "x")) == 1

@@ -26,12 +26,16 @@ from lrcone.lrbound import (
     DpCountSource,
     best_tail_bound,
     evaluate_bound,
-    log_series_term,
-    tail_bound,
 )
-from lrcone.pathcount import axis_walk_counts, count_walks_closed_form, walk_count_column
+from lrcone.pathcount import axis_walk_counts, count_walks_closed_form
 
-from reference import exact_bound_series, scalar_evaluate_bound
+from reference import (
+    exact_bound_series,
+    log_series_term,
+    scalar_evaluate_bound,
+    tail_bound,
+    walk_count_column,
+)
 
 HALF = Couplings(g=0.5, J=0.5)
 
@@ -100,22 +104,23 @@ def test_log_series_term_matches_direct_arithmetic():
 
 
 def test_tail_bound_formula_and_preconditions():
-    t, d, n, kappa = 1.0, 3, 20, 1.0
-    x = HALF.step_factor * t * math.sqrt(8.0 * HALF.g * HALF.J) * math.exp(kappa)
+    t, d, n = 1.0, 3, 20
+    x = HALF.step_factor * t * math.sqrt(8.0 * HALF.g * HALF.J) * math.exp(TAIL_KAPPA)
     expected = (
-        4.0 * math.exp(kappa * (4 - 2 * d)) * x ** (n + 1) / math.factorial(n + 1)
+        4.0 * math.exp(TAIL_KAPPA * (4 - 2 * d)) * x ** (n + 1) / math.factorial(n + 1)
         / (1.0 - x / (n + 2))
     )
-    assert tail_bound(n, t, d, HALF, kappa) == pytest.approx(expected, rel=1e-12)
+    assert best_tail_bound(n, t, d, HALF) == pytest.approx(expected, rel=1e-12)
     # Geometric comparison fails once x >= n + 2: nothing is certified.
-    assert tail_bound(0, 10.0, 0, HALF, 2.0) == math.inf
-    assert tail_bound(5, 0.0, 2, HALF, 1.0) == 0.0
-    with pytest.raises(ValueError, match="kappa"):
-        tail_bound(5, 1.0, 2, HALF, 0.0)
+    assert best_tail_bound(0, 10.0, 0, HALF) == math.inf
+    assert best_tail_bound(5, 0.0, 2, HALF) == 0.0
+    for n_truncate, t, d in [(-1, 1.0, 2), (5, 1.0, -1), (5, -1.0, 2)]:
+        with pytest.raises(ValueError, match="must be >= 0"):
+            best_tail_bound(n_truncate, t, d, HALF)
 
 
 def test_tail_bound_decreases_with_truncation_order():
-    values = [tail_bound(n, 2.0, 4, HALF, 1.0) for n in range(12, 60, 4)]
+    values = [best_tail_bound(n, 2.0, 4, HALF) for n in range(12, 60, 4)]
     finite = [v for v in values if math.isfinite(v)]
     assert finite == sorted(finite, reverse=True)
     assert finite[-1] < 1e-6 * finite[0]
@@ -129,9 +134,24 @@ def test_tail_bound_truly_dominates_remainder(shared_source):
     for n_trunc in (20, 30, 40):
         partial = exact_bound_series(t, d, Fraction(1, 2), Fraction(1, 2), shared_source.count, n_trunc)
         remainder = float(long_sum - partial)
-        best = best_tail_bound(n_trunc, float(t), d, HALF)
-        assert best == tail_bound(n_trunc, float(t), d, HALF, TAIL_KAPPA)
-        assert best >= remainder
+        assert best_tail_bound(n_trunc, float(t), d, HALF) >= remainder
+
+
+@given(
+    n=st.integers(min_value=0, max_value=300),
+    d=st.integers(min_value=0, max_value=60),
+    t=st.floats(min_value=0.0, max_value=80.0),
+    couplings=st.sampled_from(
+        [HALF, Couplings(g=1.7, J=0.3, origin_norm=2.0, probe_norm=0.25, step_factor=1.0)]
+    ),
+)
+@example(n=0, d=0, t=0.0, couplings=HALF)
+@example(n=0, d=0, t=10.0, couplings=HALF)
+@settings(max_examples=300, deadline=None)
+def test_best_tail_bound_equals_reference_restatement(n, d, t, couplings):
+    # The program's tail is the reference's general-kappa formula at
+    # TAIL_KAPPA, bit for bit, across the certified, inf and 0.0 branches.
+    assert best_tail_bound(n, t, d, couplings) == tail_bound(n, t, d, couplings, TAIL_KAPPA)
 
 
 @given(

@@ -25,10 +25,10 @@ from lrcone.pathcount import (
     count_walks_closed_form,
     count_walks_dp,
     extend_walk_counts,
-    gross_upper_bound,
     perpendicular_target,
-    walk_count_column,
 )
+
+from reference import gross_upper_bound, walk_count_column
 
 
 @pytest.fixture(scope="module")

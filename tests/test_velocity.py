@@ -164,7 +164,7 @@ def test_arrival_time_counts_every_evaluation():
 
 def _synthetic_arrivals(v, d0, ds):
     return [
-        ArrivalTime(d=d, time=(d - d0) / v, epsilon=1e-8, bound_value=1e-8, evaluations=1)
+        ArrivalTime(d=d, time=(d - d0) / v, bound_value=1e-8, evaluations=1)
         for d in ds
     ]
 
@@ -207,12 +207,12 @@ def test_fit_validation_errors():
         fit_lightcone(front, profile=[(1.0, 4, 0.1), (1.0, 6, 0.2), (1.0, 8, 0.4), (1.0, 10, 0.8)])
     with pytest.raises(ValueError, match="arrival times must not all be equal"):
         fit_lightcone(
-            [ArrivalTime(d=d, time=2.5, epsilon=1e-8, bound_value=1e-8, evaluations=1)
+            [ArrivalTime(d=d, time=2.5, bound_value=1e-8, evaluations=1)
              for d in (4, 6, 8, 10)]
         )
     # A front far from the profile puts the amplitude past float range.
     far_front = [
-        ArrivalTime(d=d, time=t, epsilon=1e-8, bound_value=1e-8, evaluations=1)
+        ArrivalTime(d=d, time=t, bound_value=1e-8, evaluations=1)
         for d, t in ((1, 1.0), (1, 1.0), (1, 1.0), (2840, 0.1))
     ]
     far_profile = [(1.5, d, 2 * math.exp(v)) for d, v in zip(range(1, 5), (0, 0, 0, -1))]
@@ -224,7 +224,7 @@ def test_fit_validation_errors():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             fit_lightcone(
-                [ArrivalTime(d=d, time=t, epsilon=1e-8, bound_value=1e-8, evaluations=1)
+                [ArrivalTime(d=d, time=t, bound_value=1e-8, evaluations=1)
                  for d, t in ((4, 1.0), (6, 2.0), (8, bad), (10, 4.0))]
             )
 
@@ -256,7 +256,7 @@ def test_fit_lightcone_is_exact_least_squares(front, log_profile):
     times = [t for t, _ in front]
     assume(max(ds) >= 2 * min(ds) and len(set(times)) >= 2)
     arrivals = [
-        ArrivalTime(d=d, time=t, epsilon=1e-8, bound_value=1e-8, evaluations=1) for t, d in front
+        ArrivalTime(d=d, time=t, bound_value=1e-8, evaluations=1) for t, d in front
     ]
     profile = [(1.5, 4 + 2 * k, math.exp(v)) for k, v in enumerate(log_profile)]
     profile_slope = exact_line_fit(
