@@ -22,19 +22,23 @@ tail at the single kappa TAIL_KAPPA and stops once five consecutive terms
 and that tail are both below rel_tol times the running partial sum; the
 count source's hard_n_limit is its only work budget.
 
-The series loop does O(1) work per length n.  The count source grows each
-column in place with its t-independent pieces, math.log of the counts and
-math.lgamma(n + 1), so a log-term is four float operations in this order,
-n log(step t) + log count + (n/2) log(g J) - lgamma(n + 1), exponentiated
-with math.exp (np.exp differs from it in the last bit on a few percent of
-arguments).  The streak and tail tests read a running sum of the terms, with
-a relative margin far above its rounding; only a test inside the margin
-falls back to math.fsum of the terms.  The loop and best_tail_bound compute
-the tail by one expression, `_tail`, so the certified tail equals
-best_tail_bound(n_truncate, ...) bit for bit.  The value is 2 |P| |Q| times
-math.fsum of the terms through n_truncate, so every result equals the
-term-by-term loop's with an fsum and a tail certificate at every n (kept as
-`tests/reference.scalar_evaluate_bound`) bit for bit.
+The series loop starts at the geodesic length 2 d.  Below it every term is 0
+and only adds to the five-term streak, and a tail check passes only on a
+tail of 0.0; the tail falls with n, so one tail at 2 d - 1 stands for all
+those checks, and only where it is 0.0 does the loop run from n = 0.  Each
+length costs O(1) work.  The count source grows each column in place with
+its t-independent pieces, math.log of the counts and math.lgamma(n + 1), so
+a log-term is four float operations in this order, n log(step t) + log
+count + (n/2) log(g J) - lgamma(n + 1), exponentiated with math.exp (np.exp
+differs from it in the last bit on a few percent of arguments).  The streak
+and tail tests read a running sum of the terms, with a relative margin far
+above its rounding; only a test inside the margin falls back to math.fsum of
+the terms.  The loop and best_tail_bound compute the tail by one expression,
+`_tail`, so the certified tail equals best_tail_bound(n_truncate, ...) bit
+for bit.  The value is 2 |P| |Q| times math.fsum of the terms through
+n_truncate, so every result equals bit for bit the term-by-term loop's from
+n = 0, with an fsum and a tail certificate at every n (kept as
+`tests/reference.scalar_evaluate_bound`).
 """
 
 from __future__ import annotations
@@ -54,11 +58,12 @@ from .pathcount import axis_walk_counts  # noqa: F401
 # y = x / (N + 2) in (0, 1).  A tail is accepted once it is <= rel_tol times
 # the prefactored partial sum.  Once that sum is positive, N >= 2 d, the tail
 # rises with kappa, and its smallest kappa gives the tightest certificate.
-# Before that the sum is 0 and only a tail that underflows to 0.0 passes:
-# evaluate_bound(1e-5, 40, Couplings(0.5, 0.5)) returns value 0.0 and tail
-# 0.0 at n_truncate 53, which is no upper bound on the positive B.  Any small
-# positive value is valid; every certified tail in the artifacts and
-# regression values is computed at this one.
+# Before that the sum is 0 and only a tail that underflows to 0.0 passes (the
+# series then runs from n = 0, not from 2 d): evaluate_bound(1e-5, 40,
+# Couplings(0.5, 0.5)) returns value 0.0 and tail 0.0 at n_truncate 53,
+# which is no upper bound on the positive B.  Any small positive value is
+# valid; every certified tail in the artifacts and regression values is
+# computed at this one.
 TAIL_KAPPA = 1e-3
 
 # The five-term streak of small terms that precedes every tail check.
@@ -208,6 +213,8 @@ def evaluate_bound(
 
     Stops at the first n where the last CONSECUTIVE_SMALL terms are each
     <= rel_tol times the running partial sum and the certified tail is too.
+    The terms start at the geodesic length 2 d (module docstring), and the
+    result is the term-by-term loop's from n = 0 bit for bit.
     Raises ConvergenceError once the count source refuses to grow (its
     hard_n_limit), or once a term or the prefactored partial sum leaves the
     float range.
@@ -233,7 +240,11 @@ def evaluate_bound(
     log_gj = math.log(couplings.g * couplings.J)
     terms: list[float] = []  # the nonzero-count terms; the zeros add nothing to a sum
     running = 0.0
-    streak = 0
+    # Skip the zero terms below 2 d (module docstring); a refusal still names n = 0.
+    start = streak = 0
+    if t > 0.0 and d > 0:
+        if _tail(2 * d - 1, x, log_x, log_tail_base, math.lgamma(2 * d + 1)) > 0.0:
+            start = streak = 2 * d
     n = 0
     while True:
         try:
@@ -243,6 +254,7 @@ def evaluate_bound(
                 f"series for t = {t}, d = {d} not certified before n = {n} "
                 f"(rel_tol = {rel_tol}): {exc}"
             ) from None
+        n = max(n, start)
         log_counts, log_factorial = source.log_column(n, d)
         for n in range(n, len(log_counts)):
             term = 0.0

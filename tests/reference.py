@@ -21,11 +21,11 @@ rounded to float once at the end.
 composite Gauss-Legendre quadrature, with numpy's nodes and no
 antiderivative, so it shares nothing with the closed form under test.
 
-`scalar_evaluate_bound` and `bisect_arrival_time` are the series loop with
-an fsum and a tail certificate at every term, and the plain arrival
-bisection, that `lrcone` used before its O(1)-per-term loop and its secant
-replay.  They share best_tail_bound and the count source with the code under
-test, and must give its results bit for bit.
+`scalar_evaluate_bound` and `bisect_arrival_time` are the series loop from
+n = 0 with an fsum and a tail certificate at every term, and the plain
+arrival bisection, that `lrcone` used before its O(1)-per-term loop and its
+secant replay.  They share best_tail_bound and the count source with the
+code under test, and must give its results bit for bit.
 
 Helpers that `lrcone` once shipped and only tests reached:
 
@@ -201,10 +201,11 @@ def horizon_radius_quadrature(
 
 
 def scalar_evaluate_bound(t, d, couplings, *, source=None, rel_tol=1e-10):
-    """The per-term series loop of `lrbound.evaluate_bound`, verbatim.
+    """The term-by-term loop from n = 0 that `lrbound.evaluate_bound` must equal.
 
-    One log-term, one math.exp and one math.fsum of the growing term list
-    per walk length, and a tail certificate at every n past the streak.
+    Bit for bit: one log-term, one math.exp and one math.fsum of the growing
+    term list per walk length from n = 0, and a tail certificate at every n
+    past the streak; `evaluate_bound` skips the zero terms below 2 d instead.
     """
     from lrcone.lrbound import (
         CONSECUTIVE_SMALL,

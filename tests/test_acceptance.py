@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,37 @@ def test_headline_computes_each_count_once(monkeypatch):
         grown = [(a, b) for a, b in spans if b > a]
         assert [a for a, _ in grown] == [0] + [b for _, b in grown[:-1]], d
         assert grown[-1][1] - 1 <= truncations[d] + COLUMN_STEP, d
+
+
+def test_headline_computes_no_tail_below_the_geodesic(monkeypatch):
+    # A work-count guard on the series loop: below the geodesic length 2 d
+    # every term is 0, and each evaluation computes at most one tail there,
+    # at n = 2 d - 1, to skip them all.
+    evaluations: list[int] = []  # d of each evaluate_bound call
+    tails: list[tuple[int, int, int]] = []  # (evaluation, d, n) of each _tail call
+    evaluate_bound, tail = lrbound.evaluate_bound, lrbound._tail
+
+    def record_evaluation(t, d, *args, **kwargs):
+        evaluations.append(d)
+        return evaluate_bound(t, d, *args, **kwargs)
+
+    def record_tail(n, *args):
+        tails.append((len(evaluations), evaluations[-1], n))
+        return tail(n, *args)
+
+    monkeypatch.setattr(lrbound, "evaluate_bound", record_evaluation)
+    monkeypatch.setattr(lrbound, "_tail", record_tail)
+    extract_velocity(
+        HEADLINE,
+        d_values=HEADLINE_DISTANCES,
+        epsilon=HEADLINE_EPSILON,
+        evaluator=BoundEvaluator(HEADLINE, source=DpCountSource()),
+        include_profile=True,
+    )
+    assert evaluations and tails
+    assert [(k, d, n) for k, d, n in tails if n < 2 * d - 1] == []
+    at_geodesic = Counter(k for k, d, n in tails if n == 2 * d - 1)
+    assert all(calls <= 1 for calls in at_geodesic.values())
 
 
 def test_criterion_3_coupling_scaling_ratio(shared_source, headline_report):

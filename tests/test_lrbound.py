@@ -476,6 +476,12 @@ def _assert_matches_scalar_loop(t, d, couplings, rel_tol, source, scalar_source)
         # rel_tol * partial sum below the normal range: the streak test is
         # decided by math.fsum, not by the running sum.
         (1 / 64, 42, 1e-12),
+        # The geodesic term underflows to 0.0: the zeros below 2 d still
+        # count into the streak (n_truncate 104 at g = J = 1/2).
+        (1 / 64, 51, 1e-10),
+        # The geodesic 2 d is past hard_n_limit: refused "before n = 0",
+        # before any column grows.
+        (1500.0, 4097, 1e-10),
     ],
 )
 def test_evaluate_bound_matches_scalar_loop_at_edge_cells(t, d, rel_tol, couplings):
@@ -510,6 +516,7 @@ def test_edge_cells_take_the_expected_branches():
 )
 @example(t=1e-12, d=12, rel_tol=1e-10, couplings=HALF)
 @example(t=400.0, d=100, rel_tol=1e-10, couplings=HALF)
+@example(t=1 / 64, d=51, rel_tol=1e-10, couplings=HALF)
 @settings(max_examples=100, deadline=None)
 def test_evaluate_bound_matches_scalar_loop(t, d, rel_tol, couplings):
     # Fresh sources: both sides must also grow the count table alike.
