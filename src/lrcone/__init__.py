@@ -1,6 +1,6 @@
 """Walk-counting and light-cone tools for a link/plaquette lattice model.
 
-Subpackages:
+Modules:
     couplings  model couplings record and the numerical-failure base (a leaf module)
     lattice    decorated bipartite graph of links and plaquettes
     pathcount  exact walk counts (closed-form columns + dynamic programming + bounds)

@@ -4,13 +4,15 @@ Subcommands: count, bound, velocity, scan-dim, horizon.  Exit codes:
 0 success, 1 usage or validation error, 2 closed-form fidelity mismatch,
 3 numerical failure (non-convergent series or unreachable threshold).
 
-Each key of the one config table, `_CONFIG_DEFAULTS`, takes its flag, else
-its --config file value (type-checked), else its default.  A subcommand
-registers --config and the flags of only the keys it reads: count takes
---output and --format; bound the flags of all keys but epsilon; velocity of
-all keys but format (its report is JSON); scan-dim and horizon --g, --J,
---step-factor, --output and --format.  horizon writes both branching
-conventions.
+Each run has one record, its parsed `argparse.Namespace`.  `resolve_config`
+sets on it each key of the one config table, `_CONFIG_DEFAULTS` (its flag,
+else its --config file value, type-checked, else its default), then
+`couplings` and `echo`, the resolved sections as --config takes them.  A
+subcommand registers --config and the flags of only the keys it reads: count
+takes --output and --format; bound the flags of all keys but epsilon;
+velocity of all keys but format (its report is JSON); scan-dim and horizon
+--g, --J, --step-factor, --output and --format.  horizon writes both
+branching conventions.
 
 Every output artifact embeds the resolved run configuration
 (schema_version 2) and is byte-identical across reruns; wall-clock metadata
@@ -34,7 +36,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from .cosmo import HorizonModel, dimension_scan, lightcone_boundary
 from .couplings import DEFAULT_STEP_FACTOR, Couplings, NumericalFailure
@@ -64,8 +65,7 @@ _DEFAULT_STEMS = {
 
 
 # Config-file sections -> keys -> defaults; each key is its flag's argparse
-# dest.  RunConfig holds the couplings section as one Couplings and every
-# other key as a field of the same name.  velocity defaults to json.
+# dest and its name on the resolved record.  velocity defaults to json.
 _CONFIG_DEFAULTS = {
     "couplings": {
         "g": 0.5, "J": 0.5, "origin_norm": 1.0, "probe_norm": 1.0,
@@ -74,30 +74,6 @@ _CONFIG_DEFAULTS = {
     "tolerances": {"rel_tol": 1e-10, "epsilon": 1e-8},
     "output": {"path": None, "format": "csv"},
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved, serializable run configuration.
-
-    to_json_dict produces exactly the nested shape --config accepts, so the
-    echo embedded in any output artifact reproduces its run.
-    """
-
-    couplings: Couplings
-    rel_tol: float
-    epsilon: float
-    path: str | None
-    format: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            section: {
-                key: getattr(self.couplings if section == "couplings" else self, key)
-                for key in keys
-            }
-            for section, keys in _CONFIG_DEFAULTS.items()
-        }
 
 
 def _check_config_value(section: str, key: str, value) -> None:
@@ -113,21 +89,26 @@ def _check_config_value(section: str, key: str, value) -> None:
         raise ValueError(f"config value {section}.{key} must be {expected}, got {value!r}")
 
 
-def resolve_config(args: argparse.Namespace, *, default_format: str = "csv") -> RunConfig:
-    """Each key takes its flag if given, else the --config file's value, else the default.
+def resolve_config(args: argparse.Namespace) -> None:
+    """Set each config key on `args`, then `args.couplings` and `args.echo`.
 
-    A file value of null counts as absent.
+    Each key takes its flag, else its --config file value (null counts as
+    absent), else its default.  velocity's format defaults to json and must be json.
     """
     doc: dict = {}
-    if getattr(args, "config", None) is not None:
+    if args.config is not None:
         with open(args.config) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"config file {args.config} nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("config file must contain a JSON object")
     unknown_sections = set(doc) - set(_CONFIG_DEFAULTS) - {"schema_version"}
     if unknown_sections:
         raise ValueError(f"unknown config sections: {sorted(unknown_sections)}")
-    resolved: dict = {}
+    velocity = args.command == "velocity"
+    config: dict = {}
     for section, defaults in _CONFIG_DEFAULTS.items():
         body = doc.get(section, {})
         if not isinstance(body, dict):
@@ -135,7 +116,7 @@ def resolve_config(args: argparse.Namespace, *, default_format: str = "csv") -> 
         unknown = set(body) - set(defaults)
         if unknown:
             raise ValueError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-        resolved[section] = {}
+        config[section] = {}
         for key, default in defaults.items():
             value = body.get(key)
             if value is not None:
@@ -144,18 +125,20 @@ def resolve_config(args: argparse.Namespace, *, default_format: str = "csv") -> 
             if flag is not None:
                 value = flag
             elif value is None:
-                value = default_format if key == "format" else default
-            resolved[section][key] = value
-    couplings = Couplings(**resolved.pop("couplings"))
-    return RunConfig(couplings, **resolved["tolerances"], **resolved["output"])
+                value = "json" if velocity and key == "format" else default
+            config[section][key] = value
+            setattr(args, key, value)
+    args.couplings = Couplings(**config["couplings"])
+    if velocity and args.format != "json":
+        raise ValueError(
+            f"velocity emits a JSON report; config key output.format must be json, "
+            f"got {args.format!r}"
+        )
+    args.echo = {"schema_version": 2, "config": config}
 
 
-def _echo(cfg: RunConfig) -> dict:
-    return {"schema_version": 2, "config": cfg.to_json_dict()}
-
-
-def _output_path(cfg: RunConfig, command: str) -> str:
-    return cfg.path if cfg.path is not None else f"{_DEFAULT_STEMS[command]}.{cfg.format}"
+def _output_path(args: argparse.Namespace) -> str:
+    return args.path if args.path is not None else f"{_DEFAULT_STEMS[args.command]}.{args.format}"
 
 
 def _write_json_doc(path: str, doc: dict) -> None:
@@ -200,7 +183,7 @@ def _parse_list(text: str, kind: type, *, name: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_count(args: argparse.Namespace) -> int:
     from .pathcount import axis_walk_counts, count_walks_closed_form
 
     if not 0 <= args.nmax <= COUNT_LIMIT:
@@ -220,9 +203,9 @@ def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
         for n, d, dp, closed, match in rows
         if not match
     ]
-    path = _output_path(cfg, "count")
+    path = _output_path(args)
     write_table(
-        path, cfg.format, ["n", "d", "dp_count", "closed_form", "match_flag"], rows, _echo(cfg)
+        path, args.format, ["n", "d", "dp_count", "closed_form", "match_flag"], rows, args.echo
     )
     fidelity = {
         "schema_version": 1,
@@ -231,7 +214,7 @@ def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
         "entries_compared": len(rows),
         "mismatch_count": len(mismatches),
         "mismatches": mismatches,
-        "context": {**_echo(cfg), "n_max": args.nmax, "d_values": d_list},
+        "context": {**args.echo, "n_max": args.nmax, "d_values": d_list},
     }
     _write_json_doc(path + ".fidelity.json", fidelity)
     _write_sidecar(path)
@@ -245,7 +228,7 @@ def cmd_count(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_bound(args: argparse.Namespace) -> int:
     from .lrbound import BoundEvaluator
 
     t_list = _parse_list(args.t, float, name="--t")
@@ -258,21 +241,21 @@ def cmd_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cells > ROW_LIMIT:
         raise ValueError(f"--t and --d span {cells} cells; at most {ROW_LIMIT} are allowed")
 
-    evaluator = BoundEvaluator(cfg.couplings, rel_tol=cfg.rel_tol)
+    evaluator = BoundEvaluator(args.couplings, rel_tol=args.rel_tol)
     results = [evaluator.evaluate(t, d) for d in d_list for t in t_list]
-    path = _output_path(cfg, "bound")
+    path = _output_path(args)
     write_table(
         path,
-        cfg.format,
+        args.format,
         ["t", "d", "bound", "n_truncate", "tail"],
         [(r.t, r.d, r.value, r.n_truncate, r.tail) for r in results],
-        _echo(cfg),
+        args.echo,
     )
     _write_sidecar(path)
     return EXIT_OK
 
 
-def cmd_velocity(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_velocity(args: argparse.Namespace) -> int:
     from .lrbound import BoundEvaluator
     from .velocity import extract_velocity
 
@@ -281,28 +264,23 @@ def cmd_velocity(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"need 1 <= dmin <= dmax and dstep >= 1, got "
             f"dmin={args.dmin}, dmax={args.dmax}, dstep={args.dstep}"
         )
-    if cfg.format != "json":
-        raise ValueError(
-            f"velocity emits a JSON report; config key output.format must be json, "
-            f"got {cfg.format!r}"
-        )
-    evaluator = BoundEvaluator(cfg.couplings, rel_tol=cfg.rel_tol)
+    evaluator = BoundEvaluator(args.couplings, rel_tol=args.rel_tol)
     # The work budget sees the window's last distance before any list is built.
     last = args.dmin + (args.dmax - args.dmin) // args.dstep * args.dstep
     evaluator.source.ensure(0, last)
     d_values = list(range(args.dmin, args.dmax + 1, args.dstep))
     report = extract_velocity(
-        cfg.couplings,
+        args.couplings,
         d_values=d_values,
-        epsilon=cfg.epsilon,
+        epsilon=args.epsilon,
         evaluator=evaluator,
         include_profile=True,
     )
     fit, kappa = report.fit, report.analytic
     doc = {
-        **_echo(cfg),
-        "couplings": cfg.couplings.to_json_dict(),
-        "epsilon": cfg.epsilon,
+        **args.echo,
+        "couplings": args.couplings.to_json_dict(),
+        "epsilon": args.epsilon,
         "d_values": d_values,
         "arrivals": [[a.d, a.time] for a in report.arrivals],
         "arrival_bounds": [a.bound_value for a in report.arrivals],
@@ -319,17 +297,17 @@ def cmd_velocity(cfg: RunConfig, args: argparse.Namespace) -> int:
             "objective_min": kappa.objective_min,
             "v_lr": kappa.v_lr,
         },
-        "ratio_v_over_c": fit.velocity / cfg.couplings.coupling_speed,
+        "ratio_v_over_c": fit.velocity / args.couplings.coupling_speed,
         "ratio_v_over_v_lr": fit.velocity / kappa.v_lr,
         "subwindow_slopes": list(report.subwindow_slopes),
     }
-    path = _output_path(cfg, "velocity")
+    path = _output_path(args)
     _write_json_doc(path, doc)
     _write_sidecar(path, evaluations=evaluator.evaluations)
     return EXIT_OK
 
 
-def cmd_scan_dim(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_scan_dim(args: argparse.Namespace) -> int:
     if args.dim_max < args.dim_min:
         raise ValueError(f"need dim-min <= dim-max, got {args.dim_min}, {args.dim_max}")
     if args.num < 2:
@@ -340,14 +318,14 @@ def cmd_scan_dim(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ValueError(f"the dimension scan starts at 2, got {args.dim_min}")
     span = args.dim_max - args.dim_min
     grid = [args.dim_min + span * k / (args.num - 1) for k in range(args.num)]
-    rows = dimension_scan(grid, cfg.couplings)
-    path = _output_path(cfg, "scan-dim")
-    write_table(path, cfg.format, ["D", "v_axis_pairs", "v_degrees"], rows, _echo(cfg))
+    rows = dimension_scan(grid, args.couplings)
+    path = _output_path(args)
+    write_table(path, args.format, ["D", "v_axis_pairs", "v_degrees"], rows, args.echo)
     _write_sidecar(path)
     return EXIT_OK
 
 
-def cmd_horizon(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_horizon(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be >= 2, got {args.steps}")
     if args.steps > ROW_LIMIT:
@@ -357,21 +335,21 @@ def cmd_horizon(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = HorizonModel(
         D_in=args.Din,
         alpha=args.alpha,
-        couplings=cfg.couplings,
+        couplings=args.couplings,
         mode="strict" if args.strict else "toy",
     )
-    path = _output_path(cfg, "horizon")
+    path = _output_path(args)
     write_table(
         path,
-        cfg.format,
+        args.format,
         ["t", "r_axis_pairs", "r_degrees"],
         lightcone_boundary(model, 0.0, args.tf, args.steps),
         {
-            **_echo(cfg),
+            **args.echo,
             "model": {
                 "D_in": model.D_in,
                 "alpha": model.alpha,
-                "couplings": cfg.couplings.to_json_dict(),
+                "couplings": args.couplings.to_json_dict(),
                 "convention": model.convention.value,
                 "mode": model.mode,
             },
@@ -480,9 +458,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        default_format = "json" if args.command == "velocity" else "csv"
-        cfg = resolve_config(args, default_format=default_format)
-        return args.func(cfg, args)
+        resolve_config(args)
+        return args.func(args)
     except NumericalFailure as exc:
         print(f"lrcone {args.command}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -232,6 +232,9 @@ def evaluate_bound(
         raise ValueError(f"rel_tol must be finite and > 0 and < 1, got {rel_tol}")
     if source is None:
         source = DpCountSource()
+    # The work budget sees d before any float arithmetic on it.
+    n = 0
+    _ensure(source, n, t, d, rel_tol)
 
     prefactor = couplings.prefactor
     rel_bound = rel_tol * prefactor
@@ -245,15 +248,7 @@ def evaluate_bound(
     if t > 0.0 and d > 0:
         if _tail(2 * d - 1, x, log_x, log_tail_base, math.lgamma(2 * d + 1)) > 0.0:
             start = streak = 2 * d
-    n = 0
     while True:
-        try:
-            source.ensure(n, d)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"series for t = {t}, d = {d} not certified before n = {n} "
-                f"(rel_tol = {rel_tol}): {exc}"
-            ) from None
         n = max(n, start)
         log_counts, log_factorial = source.log_column(n, d)
         for n in range(n, len(log_counts)):
@@ -302,6 +297,18 @@ def evaluate_bound(
                     raise _float_range_error(t, d, n)
                 return BoundSeriesResult(t=t, d=d, value=value, n_truncate=n, tail=tail)
         n = len(log_counts)
+        _ensure(source, n, t, d, rel_tol)
+
+
+def _ensure(source, n: int, t: float, d: int, rel_tol: float) -> None:
+    """source.ensure(n, d), its refusal naming the series."""
+    try:
+        source.ensure(n, d)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"series for t = {t}, d = {d} not certified before n = {n} "
+            f"(rel_tol = {rel_tol}): {exc}"
+        ) from None
 
 
 def _float_range_error(t: float, d: int, n: int) -> ConvergenceError:

@@ -178,6 +178,14 @@ def test_bound_past_float_range_exits_3_without_artifact(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bound_distance_past_float_range_exits_3_without_artifact(tmp_path, capsys):
+    code = run("bound", "--t", "1", "--d", str(10**400), "--output", str(tmp_path / "x.csv"))
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "hard limit" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("d", ["0", "5"])
 def test_bound_time_whose_step_underflows_exits_1_without_artifact(tmp_path, capsys, d):
     argv = ["bound", "--t", "5e-324", "--d", d, "--step-factor", "0.1",
@@ -286,11 +294,11 @@ def test_velocity_defaults_reproduce_headline_configuration():
     parser = cli.build_parser()
     args = parser.parse_args(["velocity"])
     assert (args.dmin, args.dmax, args.dstep) == (10, 40, 2)
-    cfg = cli.resolve_config(args, default_format="json")
-    assert (cfg.couplings.g, cfg.couplings.J) == (0.5, 0.5)
-    assert cfg.epsilon == 1e-8
-    assert cfg.format == "json"
-    assert cli._output_path(cfg, "velocity") == "velocity_report.json"
+    cli.resolve_config(args)
+    assert (args.couplings.g, args.couplings.J) == (0.5, 0.5)
+    assert args.epsilon == 1e-8
+    assert args.format == "json"
+    assert cli._output_path(args) == "velocity_report.json"
 
 
 def test_velocity_rejects_csv_format(tmp_path, capsys):
@@ -665,20 +673,58 @@ def test_config_file_then_flag_precedence(tmp_path):
     assert echo["config"]["tolerances"]["rel_tol"] == 1e-8
 
 
-def test_echoed_config_reproduces_run(tmp_path):
-    out1 = tmp_path / "a.csv"
-    assert run("bound", "--g", "0.8", "--J", "0.4", "--t", "0.5,1.5", "--d", "3",
-               "--output", str(out1)) == 0
-    echo, _, _ = read_csv(out1)
-    cfg_path = tmp_path / "replay.json"
-    cfg_path.write_text(json.dumps(echo["config"]))
+# Each replayed run sets one key of every config section: couplings.J and
+# tolerances.rel_tol from a file, output.format from the file or a flag, and
+# output.path by --output.  Its other flags are not config keys, so the
+# replay passes them again.
+_REPLAY_ARGS = {
+    "count": ["--nmax", "6", "--d", "1"],
+    "bound": ["--t", "0.5,1.5", "--d", "3"],
+    "velocity": ["--dmin", "4", "--dmax", "10"],
+    "scan-dim": ["--num", "3"],
+    "horizon": ["--steps", "5", "--strict"],
+}
+_REPLAY_FLAGS = {
+    "count": ["--format", "csv"],
+    "bound": ["--g", "0.8", "--format", "csv"],
+    "velocity": ["--g", "0.8", "--epsilon", "1e-6"],
+    "scan-dim": ["--step-factor", "1.2"],
+    "horizon": ["--g", "0.8"],
+}
 
-    out2 = tmp_path / "b.csv"
-    assert run("bound", "--config", str(cfg_path), "--t", "0.5,1.5", "--d", "3",
-               "--output", str(out2)) == 0
-    body1 = out1.read_text().replace(str(out1), "OUT")
-    body2 = out2.read_text().replace(str(out2), "OUT")
-    assert body1 == body2
+
+@pytest.mark.parametrize("command", list(_REPLAY_ARGS))
+def test_echoed_config_reproduces_run(tmp_path, monkeypatch, command):
+    # Relative names only: output.path is part of the echo.
+    monkeypatch.chdir(tmp_path)
+    with open("first.json", "w") as fh:
+        json.dump({
+            "couplings": {"J": 0.4},
+            "tolerances": {"rel_tol": 1e-9},
+            "output": {"format": "json"},
+        }, fh)
+    code = run(command, "--config", "first.json", "--output", "a.out",
+               *_REPLAY_FLAGS[command], *_REPLAY_ARGS[command])
+    assert code == (cli.EXIT_MISMATCH if command == "count" else cli.EXIT_OK)
+    first = _artifacts(tmp_path)
+    text = (tmp_path / "a.out").read_text()
+    echo = read_csv("a.out")[0] if text.startswith("# config: ") else json.loads(text)
+    with open("replay.json", "w") as fh:
+        json.dump(echo["config"], fh)
+    for p in tmp_path.glob("a.out*"):
+        p.unlink()
+
+    assert run(command, "--config", "replay.json", *_REPLAY_ARGS[command]) == code
+    assert _artifacts(tmp_path) == first
+
+
+def _artifacts(directory):
+    """Every file a run wrote to a.out*, sidecar excluded, by name."""
+    return {
+        p.name: p.read_bytes()
+        for p in directory.glob("a.out*")
+        if not p.name.endswith(".meta.json")
+    }
 
 
 # The config echo, byte for byte, at the defaults and with a config file that
@@ -867,12 +913,20 @@ def test_schema_1_config_keys_exit_1(tmp_path, capsys, section, key):
     assert not out.exists()
 
 
-def test_malformed_and_missing_config_files_exit_1(tmp_path):
+def test_malformed_and_missing_config_files_exit_1(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert run("bound", "--config", str(broken), "--output", str(tmp_path / "x")) == 1
     assert run("bound", "--config", str(tmp_path / "nope.json"),
                "--output", str(tmp_path / "x")) == 1
+    # Nesting past the recursion limit is a usage error, not a traceback.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert run("bound", "--config", str(deep), "--output", str(tmp_path / "x")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lrcone bound: ") and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_empty_config_path_fails_like_empty_output_path(tmp_path, capsys):

@@ -340,6 +340,14 @@ def test_convergence_error_when_budget_too_small():
         evaluate_bound(3.0, 2, HALF, source=source)
 
 
+def test_distance_past_float_range_is_refused_by_the_budget():
+    # 2 d is past the float range; the budget refuses it before 2.0 * d overflows.
+    with pytest.raises(
+        ConvergenceError, match=r"not certified before n = 0 .*hard limit 8192"
+    ):
+        evaluate_bound(1.0, 10**400, HALF)
+
+
 @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-10, 1.0, 1e300])
 def test_evaluate_bound_rejects_bad_rel_tol(rel_tol):
     source = DpCountSource(n_max=8)
