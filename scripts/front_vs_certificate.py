@@ -55,7 +55,7 @@ def main() -> None:
             for epsilon in map(float, args.epsilons.split(","))
         ]
 
-    certified = reports[0][1]["kappa"]["v_lr"]
+    certified = reports[0][1]["cone"]["v_paper"]
     print(f"couplings g = {args.g}, J = {args.J}; certified cone velocity = {certified:.6f}")
     print(f"distance window d = {args.dmin}..{args.dmax} step {args.dstep}")
     print()
@@ -65,7 +65,7 @@ def main() -> None:
         lead, trail = report["subwindow_slopes"]
         print(
             f"{epsilon:>10.1e} {report['fit']['v']:>10.6f} "
-            f"{report['ratio_v_over_v_lr']:>12.6f} {lead:>16.6f} {trail:>16.6f} "
+            f"{report['fit']['v'] / certified:>12.6f} {lead:>16.6f} {trail:>16.6f} "
             f"{report['fit']['r_squared']:>10.6f}"
         )
 

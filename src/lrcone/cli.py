@@ -14,13 +14,14 @@ velocity of all keys but format (its report is JSON); scan-dim and horizon
 --g, --J, --step-factor, --output and --format.  horizon writes both
 branching conventions.
 
-Every output artifact embeds the resolved run configuration
-(schema_version 2) and is byte-identical across reruns; wall-clock metadata
-goes to a ``<output>.meta.json`` sidecar, never into the body; the velocity
-sidecar also counts the run's bound evaluations.  This module alone shapes
-every artifact (tables, velocity report, fidelity report, model echo); the
-engines return numbers.  Every table goes through `write_table`, every JSON
-document through `_write_json_doc`.
+Every output artifact embeds the resolved run configuration, with the
+document's one schema_version (3) at its top level, and is byte-identical
+across reruns; wall-clock metadata goes to a ``<output>.meta.json`` sidecar,
+never into the body; the velocity sidecar also counts the run's bound
+evaluations.  This module alone shapes every artifact (tables, velocity
+report, fidelity report, model echo), each fact stated once and none
+constant; the engines return numbers.  Every table goes through
+`write_table`, every JSON document through `_write_json_doc`.
 
 At import this module loads only `cosmo` and `couplings`; each of count,
 bound and velocity imports its engine (`pathcount`, `lrbound`, `velocity`)
@@ -134,7 +135,7 @@ def resolve_config(args: argparse.Namespace) -> None:
             f"velocity emits a JSON report; config key output.format must be json, "
             f"got {args.format!r}"
         )
-    args.echo = {"schema_version": 2, "config": config}
+    args.echo = {"schema_version": 3, "config": config}
 
 
 def _output_path(args: argparse.Namespace) -> str:
@@ -208,13 +209,14 @@ def cmd_count(args: argparse.Namespace) -> int:
         path, args.format, ["n", "d", "dp_count", "closed_form", "match_flag"], rows, args.echo
     )
     fidelity = {
-        "schema_version": 1,
+        **args.echo,
+        "n_max": args.nmax,
+        "d_values": d_list,
         "pair_family": "same-orientation links, d grid steps perpendicular to the link axis",
         "canonical_source": "dp",
         "entries_compared": len(rows),
         "mismatch_count": len(mismatches),
         "mismatches": mismatches,
-        "context": {**args.echo, "n_max": args.nmax, "d_values": d_list},
     }
     _write_json_doc(path + ".fidelity.json", fidelity)
     _write_sidecar(path)
@@ -276,12 +278,9 @@ def cmd_velocity(args: argparse.Namespace) -> int:
         evaluator=evaluator,
         include_profile=True,
     )
-    fit, kappa = report.fit, report.analytic
+    fit = report.fit
     doc = {
         **args.echo,
-        "couplings": args.couplings.to_json_dict(),
-        "epsilon": args.epsilon,
-        "d_values": d_values,
         "arrivals": [[a.d, a.time] for a in report.arrivals],
         "arrival_bounds": [a.bound_value for a in report.arrivals],
         "fit": {
@@ -292,13 +291,8 @@ def cmd_velocity(args: argparse.Namespace) -> int:
             "front_offset": fit.front_offset,
             "r_squared": fit.r_squared,
         },
-        "kappa": {
-            "kappa_star": kappa.kappa_star,
-            "objective_min": kappa.objective_min,
-            "v_lr": kappa.v_lr,
-        },
+        "cone": {"v_paper": report.analytic.v_lr},
         "ratio_v_over_c": fit.velocity / args.couplings.coupling_speed,
-        "ratio_v_over_v_lr": fit.velocity / kappa.v_lr,
         "subwindow_slopes": list(report.subwindow_slopes),
     }
     path = _output_path(args)
@@ -346,13 +340,7 @@ def cmd_horizon(args: argparse.Namespace) -> int:
         lightcone_boundary(model, 0.0, args.tf, args.steps),
         {
             **args.echo,
-            "model": {
-                "D_in": model.D_in,
-                "alpha": model.alpha,
-                "couplings": args.couplings.to_json_dict(),
-                "convention": model.convention.value,
-                "mode": model.mode,
-            },
+            "model": {"D_in": model.D_in, "alpha": model.alpha, "mode": model.mode},
         },
     )
     _write_sidecar(path)

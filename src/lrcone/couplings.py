@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 DEFAULT_STEP_FACTOR = math.sqrt(2.0)
 
@@ -67,7 +67,3 @@ class Couplings:
     def prefactor(self) -> float:
         """Overall factor 2 |P| |Q| multiplying the series."""
         return 2.0 * self.origin_norm * self.probe_norm
-
-    def to_json_dict(self) -> dict:
-        """The five fields by name, as every artifact echoes them."""
-        return asdict(self)

@@ -114,6 +114,9 @@ def best_tail_bound(n_truncate: int, t: float, d: int, couplings: Couplings) -> 
     """
     if n_truncate < 0 or d < 0:
         raise ValueError(f"n_truncate and d must be >= 0, got {n_truncate}, {d}")
+    # An exact int comparison, before 2.0 * d or lgamma(n_truncate + 2) can overflow.
+    if n_truncate > _HUGE or d > _HUGE:
+        raise ValueError(f"n_truncate and d must be <= {_HUGE:g}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     return _tail(n_truncate, *_tail_pieces(t, d, couplings), math.lgamma(n_truncate + 2))
@@ -151,8 +154,10 @@ class DpCountSource:
     def ensure(self, n: int, d: int) -> None:
         needed = max(n, 2 * d)
         if needed > self.hard_n_limit:
+            # Past 4300 digits an int does not convert to a decimal string.
+            shown = f"= {needed}" if needed < 2**64 else "> 2**64"
             raise ConvergenceError(
-                f"count table would need n_max = {needed} > hard limit {self.hard_n_limit}"
+                f"count table would need n_max {shown} > hard limit {self.hard_n_limit}"
             )
         self._n_max = max(self._n_max, needed)
 

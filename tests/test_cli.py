@@ -51,7 +51,7 @@ def test_count_reports_mismatch_and_exits_2(tmp_path):
 
     echo, header, rows = read_csv(out)
     assert header == ["n", "d", "dp_count", "closed_form", "match_flag"]
-    assert echo["schema_version"] == 2
+    assert echo["schema_version"] == 3
     assert len(rows) == 3 * 9
     table = {(int(n), int(d)): (int(dp), int(cf), int(flag)) for n, d, dp, cf, flag in rows}
     assert table[(4, 0)] == (10, 384, 0)
@@ -60,6 +60,7 @@ def test_count_reports_mismatch_and_exits_2(tmp_path):
     assert table[(3, 1)] == (0, 0, 1)
 
     report = json.loads((tmp_path / "counts.csv.fidelity.json").read_text())
+    assert (report["n_max"], report["d_values"]) == (8, [0, 1, 2])
     assert report["canonical_source"] == "dp"
     assert report["mismatch_count"] == sum(1 for v in table.values() if not v[2])
     assert {"n": 6, "d": 2, "dp": 10, "closed_form": 5760} in report["mismatches"]
@@ -90,12 +91,12 @@ def test_count_json_format(tmp_path):
 # so these bytes do not depend on libm.
 _COUNT_DIGESTS = {
     "counts.csv": (
-        "a6862caf302ff0952f4c1b79e70bb8ef14c24d5844c07d9588ec7ddb24657585",
-        "ce54b4d002731c53ecdba0b8f08af3725ecf97d45cc105cc2310a73a658f3880",
+        "1e37cdb78b0e4414b3c39cb713f620dcdefcecda640e6b61dae2fc0a5f2497d0",
+        "e5a57fbd7001fd10da8d30a626ff534d610c8a3aa1f7772d42af741102219bd4",
     ),
     "counts.json": (
-        "2c5daa6e623b369bb9355e17978262c8659b2095c11d33936bdf444513082d4f",
-        "2149f03f58fb91ddef94bbc2ab4f5d612c4c99ae066c33e5ee61d84988351cbf",
+        "ff9aebf1864ed22e00b4d622ae07710efa8cbbc47b1eb5de0a5cc31ac9ae16a3",
+        "47372a1b5b2cd1072a23855d89d07077659b1bc47c47a2bd8b0115661944a293",
     ),
 }
 
@@ -186,6 +187,19 @@ def test_bound_distance_past_float_range_exits_3_without_artifact(tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv", [["bound", "--t", "1", "--d"], ["velocity", "--dmin", "1", "--dmax"]]
+)
+def test_distance_of_4300_digits_exits_3_without_artifact(tmp_path, capsys, argv):
+    # The longest int a decimal string converts to; twice it has 4301 digits,
+    # one past the limit, so the refusal must not print 2 d.
+    code = run(*argv, "9" + "0" * 4299, "--output", str(tmp_path / "x"))
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "hard limit" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("d", ["0", "5"])
 def test_bound_time_whose_step_underflows_exits_1_without_artifact(tmp_path, capsys, d):
     argv = ["bound", "--t", "5e-324", "--d", d, "--step-factor", "0.1",
@@ -250,9 +264,9 @@ def test_velocity_report_matches_library(tmp_path):
     )
     assert code == cli.EXIT_OK
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 2
-    assert doc["d_values"] == [4, 6, 8, 10]
-    assert doc["epsilon"] == 1e-6
+    assert doc["schema_version"] == 3
+    assert [d for d, _ in doc["arrivals"]] == [4, 6, 8, 10]
+    assert doc["config"]["tolerances"]["epsilon"] == 1e-6
     assert doc["config"]["couplings"]["g"] == 0.5
 
     couplings = Couplings(g=0.5, J=0.5)
@@ -270,9 +284,8 @@ def test_velocity_report_matches_library(tmp_path):
     assert meta["evaluations"] == ref_evaluator.evaluations
     assert meta["evaluations"] == sum(a.evaluations for a in ref.arrivals) + 4
     assert set(doc) == {
-        "schema_version", "config", "couplings", "epsilon", "d_values", "arrivals",
-        "arrival_bounds", "fit", "kappa", "ratio_v_over_c", "ratio_v_over_v_lr",
-        "subwindow_slopes",
+        "schema_version", "config", "arrivals", "arrival_bounds", "fit", "cone",
+        "ratio_v_over_c", "subwindow_slopes",
     }
     # Both sides run the same arithmetic, so every value agrees exactly.
     assert doc["fit"] == {
@@ -286,8 +299,8 @@ def test_velocity_report_matches_library(tmp_path):
     assert doc["arrivals"] == [[a.d, a.time] for a in ref.arrivals]
     assert doc["arrival_bounds"] == [a.bound_value for a in ref.arrivals]
     assert doc["subwindow_slopes"] == list(ref.subwindow_slopes)
-    assert doc["kappa"]["kappa_star"] == 1.0
-    assert doc["kappa"]["v_lr"] == pytest.approx(math.sqrt(2) * math.e * math.sqrt(0.5), rel=1e-14)
+    assert set(doc["cone"]) == {"v_paper"}
+    assert doc["cone"]["v_paper"] == pytest.approx(math.sqrt(2) * math.e * math.sqrt(0.5), rel=1e-14)
 
 
 def test_velocity_defaults_reproduce_headline_configuration():
@@ -417,16 +430,7 @@ def test_horizon_csv_roundtrip(tmp_path):
     assert lines[0].startswith("# config: ")
     echoed = json.loads(lines[0].removeprefix("# config: "))
     model = HorizonModel(D_in=6.0, alpha=0.02, couplings=Couplings(g=0.5, J=0.5))
-    assert echoed["model"] == {
-        "D_in": 6.0,
-        "alpha": 0.02,
-        "couplings": {
-            "g": 0.5, "J": 0.5, "origin_norm": 1.0, "probe_norm": 1.0,
-            "step_factor": math.sqrt(2.0),
-        },
-        "convention": "axis_pairs",
-        "mode": "toy",
-    }
+    assert echoed["model"] == {"D_in": 6.0, "alpha": 0.02, "mode": "toy"}
     assert lines[1] == "t,r_axis_pairs,r_degrees"
     assert len(lines) == 2 + 6
     parsed = [tuple(float(x) for x in line.split(",")) for line in lines[2:]]
@@ -739,13 +743,13 @@ _PINNED_CONFIG = {
 _CSV_ECHO_DEFAULT = (
     '# config: {"config": {"couplings": {"J": 0.5, "g": 0.5, "origin_norm": 1.0, '
     '"probe_norm": 1.0, "step_factor": 1.4142135623730951}, "output": {"format": "csv", '
-    '"path": null}, "tolerances": {"epsilon": 1e-08, "rel_tol": 1e-10}}, "schema_version": 2}'
+    '"path": null}, "tolerances": {"epsilon": 1e-08, "rel_tol": 1e-10}}, "schema_version": 3}'
 )
 _CSV_ECHO_CONFIG = (
     '# config: {"config": {"couplings": {"J": 0.3, "g": 0.9, "origin_norm": 2.0, '
     '"probe_norm": 1.0, "step_factor": 1.4142135623730951}, "output": {"format": "csv", '
     '"path": "configured.out"}, "tolerances": {"epsilon": 1e-06, "rel_tol": 1e-09}}, '
-    '"schema_version": 2}'
+    '"schema_version": 3}'
 )
 _PINNED_ECHOES = {
     (False, "count"): _CSV_ECHO_DEFAULT,
@@ -754,21 +758,19 @@ _PINNED_ECHOES = {
     (False, "velocity"): (
         '{"config": {"couplings": {"J": 0.5, "g": 0.5, "origin_norm": 1.0, "probe_norm": 1.0, '
         '"step_factor": 1.4142135623730951}, "output": {"format": "json", "path": null}, '
-        '"tolerances": {"epsilon": 1e-08, "rel_tol": 1e-10}}, "schema_version": 2}'
+        '"tolerances": {"epsilon": 1e-08, "rel_tol": 1e-10}}, "schema_version": 3}'
     ),
     (False, "horizon"): (
         '# config: {"config": {"couplings": {"J": 0.5, "g": 0.5, "origin_norm": 1.0, '
         '"probe_norm": 1.0, "step_factor": 1.4142135623730951}, "output": {"format": "csv", '
         '"path": null}, "tolerances": {"epsilon": 1e-08, "rel_tol": 1e-10}}, "model": '
-        '{"D_in": 100.0, "alpha": 0.01, "convention": "axis_pairs", "couplings": {"J": 0.5, '
-        '"g": 0.5, "origin_norm": 1.0, "probe_norm": 1.0, "step_factor": 1.4142135623730951}, '
-        '"mode": "toy"}, "schema_version": 2}'
+        '{"D_in": 100.0, "alpha": 0.01, "mode": "toy"}, "schema_version": 3}'
     ),
     (True, "count"): (
         '# config: {"config": {"couplings": {"J": 0.3, "g": 0.7, "origin_norm": 2.0, '
         '"probe_norm": 1.0, "step_factor": 1.4142135623730951}, "output": {"format": "csv", '
         '"path": "configured.out"}, "tolerances": {"epsilon": 1e-06, "rel_tol": 1e-09}}, '
-        '"schema_version": 2}'
+        '"schema_version": 3}'
     ),
     (True, "bound"): _CSV_ECHO_CONFIG,
     (True, "scan-dim"): _CSV_ECHO_CONFIG,
@@ -776,15 +778,13 @@ _PINNED_ECHOES = {
         '{"config": {"couplings": {"J": 0.3, "g": 0.9, "origin_norm": 2.0, "probe_norm": 1.0, '
         '"step_factor": 1.4142135623730951}, "output": {"format": "json", '
         '"path": "configured.out"}, "tolerances": {"epsilon": 1e-06, "rel_tol": 1e-09}}, '
-        '"schema_version": 2}'
+        '"schema_version": 3}'
     ),
     (True, "horizon"): (
         '# config: {"config": {"couplings": {"J": 0.3, "g": 0.9, "origin_norm": 2.0, '
         '"probe_norm": 1.0, "step_factor": 1.4142135623730951}, "output": {"format": "csv", '
         '"path": "configured.out"}, "tolerances": {"epsilon": 1e-06, "rel_tol": 1e-09}}, '
-        '"model": {"D_in": 100.0, "alpha": 0.01, "convention": "axis_pairs", "couplings": '
-        '{"J": 0.3, "g": 0.9, "origin_norm": 2.0, "probe_norm": 1.0, '
-        '"step_factor": 1.4142135623730951}, "mode": "toy"}, "schema_version": 2}'
+        '"model": {"D_in": 100.0, "alpha": 0.01, "mode": "toy"}, "schema_version": 3}'
     ),
 }
 _DEFAULT_NAMES = {
@@ -817,6 +817,33 @@ def test_config_echo_bytes_are_pinned(tmp_path, monkeypatch, command, with_confi
         else:
             echo = fh.readline().rstrip("\n")
     assert echo == _PINNED_ECHOES[with_config, command]
+
+
+def _schema_versions(node) -> int:
+    """How many schema_version keys sit anywhere in a parsed JSON document."""
+    if isinstance(node, dict):
+        return ("schema_version" in node) + sum(map(_schema_versions, node.values()))
+    if isinstance(node, list):
+        return sum(map(_schema_versions, node))
+    return 0
+
+
+def test_every_document_has_one_schema_version_at_the_top(tmp_path, monkeypatch):
+    # Every JSON document, the fidelity report too, and every CSV config line.
+    monkeypatch.chdir(tmp_path)
+    for command in _DEFAULT_NAMES:
+        for fmt in ("json",) if command == "velocity" else ("csv", "json"):
+            flags = [] if command == "velocity" else ["--format", fmt]
+            out = f"{command}.{fmt}"
+            assert run(command, *_BASE_ARGS[command], *flags, "--output", out) in (0, 2)
+    documents = sorted(p for p in tmp_path.iterdir() if not p.name.endswith(".meta.json"))
+    assert len(documents) == 11
+    for path in documents:
+        text = path.read_text()
+        if text.startswith("# config: "):
+            text = text.split("\n", 1)[0].removeprefix("# config: ")
+        doc = json.loads(text)
+        assert (_schema_versions(doc), doc.get("schema_version")) == (1, 3), path.name
 
 
 @pytest.mark.parametrize("command", ["count", "bound", "scan-dim", "horizon"])

@@ -119,6 +119,15 @@ def test_tail_bound_formula_and_preconditions():
             best_tail_bound(n_truncate, t, d, HALF)
 
 
+@pytest.mark.parametrize(
+    "n_truncate,d", [(0, 10**400), (10**400, 0), (0, 10**5000)], ids=["d", "n", "d_5001_digits"]
+)
+def test_best_tail_bound_refuses_n_or_d_past_float_range(n_truncate, d):
+    # 2.0 * d and lgamma(n + 2) would overflow; the refusal prints neither.
+    with pytest.raises(ValueError, match="must be <= 1e"):
+        best_tail_bound(n_truncate, 1.0, d, HALF)
+
+
 def test_tail_bound_decreases_with_truncation_order():
     values = [best_tail_bound(n, 2.0, 4, HALF) for n in range(12, 60, 4)]
     finite = [v for v in values if math.isfinite(v)]

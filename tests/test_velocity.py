@@ -324,12 +324,11 @@ def test_report_json_shape(small_window_report, tmp_path):
     argv = ["velocity", "--dmin", "4", "--dmax", "12", "--epsilon", "1e-6", "--output", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 2  # the CLI's echo carries it
-    assert doc["couplings"]["g"] == 0.5
+    assert doc["schema_version"] == 3  # the CLI's echo carries it
+    assert doc["config"]["couplings"]["g"] == 0.5
     assert [d for d, _ in doc["arrivals"]] == [4, 6, 8, 10, 12]
     assert doc["fit"]["v"] == small_window_report.fit.velocity
-    assert doc["kappa"]["kappa_star"] == pytest.approx(1.0, abs=1e-9)
-    assert doc["kappa"]["v_lr"] == pytest.approx(math.e, rel=1e-12)
+    assert doc["cone"]["v_paper"] == pytest.approx(math.e, rel=1e-12)
     assert doc["ratio_v_over_c"] == pytest.approx(
         small_window_report.fit.velocity / HALF.coupling_speed, rel=1e-12
     )
