@@ -86,6 +86,14 @@ class ConvergenceError(NumericalFailure):
     """The truncated series could not be certified within the term budget."""
 
 
+def _equal_to(k: int) -> str:
+    """The text "= k" for a message, or "> 2**64" / "< -2**64" beyond those:
+    an int of more than 4300 digits does not convert to a decimal string."""
+    if -(2**64) < k < 2**64:
+        return f"= {k}"
+    return "> 2**64" if k > 0 else "< -2**64"
+
+
 def _tail_pieces(t: float, d: int, couplings: Couplings) -> tuple[float, float, float]:
     """x, log x and the n-free part of log tail(N), all at TAIL_KAPPA."""
     x = couplings.step_factor * t * math.sqrt(8.0 * couplings.g * couplings.J) * math.exp(TAIL_KAPPA)
@@ -113,7 +121,10 @@ def best_tail_bound(n_truncate: int, t: float, d: int, couplings: Couplings) -> 
     formula certifies nothing).
     """
     if n_truncate < 0 or d < 0:
-        raise ValueError(f"n_truncate and d must be >= 0, got {n_truncate}, {d}")
+        raise ValueError(
+            f"n_truncate and d must be >= 0, got n_truncate {_equal_to(n_truncate)}, "
+            f"d {_equal_to(d)}"
+        )
     # An exact int comparison, before 2.0 * d or lgamma(n_truncate + 2) can overflow.
     if n_truncate > _HUGE or d > _HUGE:
         raise ValueError(f"n_truncate and d must be <= {_HUGE:g}")
@@ -154,10 +165,9 @@ class DpCountSource:
     def ensure(self, n: int, d: int) -> None:
         needed = max(n, 2 * d)
         if needed > self.hard_n_limit:
-            # Past 4300 digits an int does not convert to a decimal string.
-            shown = f"= {needed}" if needed < 2**64 else "> 2**64"
             raise ConvergenceError(
-                f"count table would need n_max {shown} > hard limit {self.hard_n_limit}"
+                f"count table would need n_max {_equal_to(needed)} > hard limit "
+                f"{self.hard_n_limit}"
             )
         self._n_max = max(self._n_max, needed)
 
@@ -311,7 +321,7 @@ def _ensure(source, n: int, t: float, d: int, rel_tol: float) -> None:
         source.ensure(n, d)
     except ConvergenceError as exc:
         raise ConvergenceError(
-            f"series for t = {t}, d = {d} not certified before n = {n} "
+            f"series for t = {t}, d {_equal_to(d)} not certified before n = {n} "
             f"(rel_tol = {rel_tol}): {exc}"
         ) from None
 

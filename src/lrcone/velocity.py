@@ -363,12 +363,13 @@ def extract_velocity(
     d_values = tuple(int(d) for d in d_values)
     if len(d_values) < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} distances, got {len(d_values)}")
-    _check_distance_span(d_values)
     if evaluator is None:
         evaluator = BoundEvaluator(couplings)
     elif evaluator.couplings != couplings:
         raise ValueError("evaluator couplings differ from the requested couplings")
+    # Within the budget max / min of the distances cannot overflow a float.
     evaluator.source.ensure(0, max(d_values))
+    _check_distance_span(d_values)
 
     arrivals = tuple(arrival_time(d, epsilon, evaluator) for d in d_values)
     profile = None

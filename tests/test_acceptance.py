@@ -9,6 +9,7 @@ committed to up front.
 
 from __future__ import annotations
 
+import csv
 import math
 import time
 from collections import Counter
@@ -236,7 +237,8 @@ def test_criterion_4_walk_count_invariants_and_fidelity(tmp_path):
                 break
 
     # The closed-form comparison must run to completion and, carrying
-    # mismatches as it does, drive the CLI to the fidelity exit code.
+    # mismatches as it does, drive the CLI to the fidelity exit code; the
+    # table's match_flag 0 rows must be exactly the lattice DP's mismatches.
     comparisons = [
         (table.count(n, targets[d]), count_walks_closed_form(n, d))
         for d in range(d_max + 1)
@@ -248,14 +250,17 @@ def test_criterion_4_walk_count_invariants_and_fidelity(tmp_path):
         ["count", "--nmax", str(n_max), "--d", ",".join(map(str, targets)),
          "--output", str(out)]
     )
-    fidelity_written = (tmp_path / "counts.csv.fidelity.json").exists()
+    with open(out) as fh:
+        fh.readline()  # the config line
+        flagged = sum(row["match_flag"] == "0" for row in csv.DictReader(fh))
+    flags_consistent = flagged == mismatch_count
     cli_consistent = (exit_code == cli.EXIT_MISMATCH) == (mismatch_count > 0)
     runtime = time.perf_counter() - t0
 
     ok = (
         not failures
         and len(comparisons) == (n_max + 1) * (d_max + 1)
-        and fidelity_written
+        and flags_consistent
         and cli_consistent
         and runtime < 30.0
     )
@@ -268,7 +273,7 @@ def test_criterion_4_walk_count_invariants_and_fidelity(tmp_path):
     )
     assert not failures, failures[:5]
     assert len(comparisons) == (n_max + 1) * (d_max + 1)
-    assert fidelity_written
+    assert flags_consistent, (flagged, mismatch_count)
     assert cli_consistent
     assert runtime < 30.0
 

@@ -44,7 +44,7 @@ def read_csv(path):
 # ---------------------------------------------------------------------------
 
 
-def test_count_reports_mismatch_and_exits_2(tmp_path):
+def test_count_reports_mismatch_and_exits_2(tmp_path, capsys):
     out = tmp_path / "counts.csv"
     code = run("count", "--nmax", "8", "--d", "0,1,2", "--output", str(out))
     assert code == cli.EXIT_MISMATCH
@@ -58,22 +58,25 @@ def test_count_reports_mismatch_and_exits_2(tmp_path):
     assert table[(6, 2)] == (10, 5760, 0)
     assert table[(2, 1)] == (1, 0, 0)
     assert table[(3, 1)] == (0, 0, 1)
+    # n_max and the distances are read off the rows; the table is the only document.
+    assert set(table) == {(n, d) for n in range(9) for d in (0, 1, 2)}
+    assert {p.name for p in tmp_path.iterdir()} == {"counts.csv", "counts.csv.meta.json"}
+    mismatches = sum(1 for v in table.values() if not v[2])
+    assert mismatches == sum(1 for v in table.values() if v[0] != v[1]) > 0
+    assert capsys.readouterr().err == (
+        f"closed form disagrees with the dynamic program on {mismatches} of 27 entries; "
+        f"see the match_flag 0 rows of {out}\n"
+    )
 
-    report = json.loads((tmp_path / "counts.csv.fidelity.json").read_text())
-    assert (report["n_max"], report["d_values"]) == (8, [0, 1, 2])
-    assert report["canonical_source"] == "dp"
-    assert report["mismatch_count"] == sum(1 for v in table.values() if not v[2])
-    assert {"n": 6, "d": 2, "dp": 10, "closed_form": 5760} in report["mismatches"]
 
-
-def test_count_exit_0_when_grid_happens_to_agree(tmp_path):
+def test_count_exit_0_when_grid_happens_to_agree(tmp_path, capsys):
     # Odd n and unreachable parities: both routes give zero everywhere.
     out = tmp_path / "c.csv"
     code = run("count", "--nmax", "1", "--d", "1", "--output", str(out))
     assert code == cli.EXIT_OK
-    report = json.loads((tmp_path / "c.csv.fidelity.json").read_text())
-    assert report["mismatch_count"] == 0
-    assert report["entries_compared"] == 2
+    _, _, rows = read_csv(out)
+    assert [int(row[4]) for row in rows] == [1, 1]  # two entries, no mismatch
+    assert capsys.readouterr().err == ""
 
 
 def test_count_json_format(tmp_path):
@@ -85,19 +88,13 @@ def test_count_json_format(tmp_path):
     assert [2, 1, 1, 0, 0] in doc["rows"]
 
 
-# sha256 of the artifact body and its fidelity report for
+# sha256 of the artifact body for
 # `count --nmax 64 --d 0,1,2,3,32 --output <name>`, run in the output's
 # directory so the echoed path is the bare name.  Counts are exact integers,
 # so these bytes do not depend on libm.
 _COUNT_DIGESTS = {
-    "counts.csv": (
-        "1e37cdb78b0e4414b3c39cb713f620dcdefcecda640e6b61dae2fc0a5f2497d0",
-        "e5a57fbd7001fd10da8d30a626ff534d610c8a3aa1f7772d42af741102219bd4",
-    ),
-    "counts.json": (
-        "ff9aebf1864ed22e00b4d622ae07710efa8cbbc47b1eb5de0a5cc31ac9ae16a3",
-        "47372a1b5b2cd1072a23855d89d07077659b1bc47c47a2bd8b0115661944a293",
-    ),
+    "counts.csv": "1e37cdb78b0e4414b3c39cb713f620dcdefcecda640e6b61dae2fc0a5f2497d0",
+    "counts.json": "ff9aebf1864ed22e00b4d622ae07710efa8cbbc47b1eb5de0a5cc31ac9ae16a3",
 }
 
 
@@ -107,11 +104,8 @@ def test_count_artifact_bytes_are_pinned(tmp_path, monkeypatch, name):
     fmt = name.rsplit(".", 1)[1]
     argv = ["count", "--nmax", "64", "--d", "0,1,2,3,32", "--format", fmt, "--output", name]
     assert run(*argv) == cli.EXIT_MISMATCH
-    digests = tuple(
-        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-        for f in (name, name + ".fidelity.json")
-    )
-    assert digests == _COUNT_DIGESTS[name]
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == _COUNT_DIGESTS[name]
+    assert {p.name for p in tmp_path.iterdir()} == {name, name + ".meta.json"}
 
 
 def test_count_rejects_nonplanar_dimension(tmp_path, capsys):
@@ -170,6 +164,14 @@ def test_bound_json_format(tmp_path):
     [[t, d, bound, n_truncate, tail]] = doc["rows"]
     ref = BoundEvaluator(Couplings(g=0.5, J=0.5)).evaluate(1.0, 2)
     assert (t, d, bound, n_truncate, tail) == (1.0, 2, ref.value, ref.n_truncate, ref.tail)
+
+
+def test_bound_negative_distance_exits_1_before_any_cell(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(BoundEvaluator, "evaluate", lambda *a: pytest.fail("cell computed"))
+    code = run("bound", "--t", "1", "--d", "2,-1", "--output", str(tmp_path / "x.csv"))
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "lrcone bound: --d entries must be >= 0, got [2, -1]\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bound_past_float_range_exits_3_without_artifact(tmp_path, capsys):
@@ -482,6 +484,22 @@ def test_horizon_strict_mode_rejects_crossing(tmp_path):
 def test_horizon_non_finite_tf_exits_1_without_artifact(tmp_path, capsys, flags):
     assert run("horizon", *flags, "--output", str(tmp_path / "x.csv")) == cli.EXIT_USAGE
     assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--steps", "1"], "steps must be >= 2, got 1"),
+        (["--tf", "-1"], "need t_start <= t_end, got 0.0, -1.0"),
+    ],
+    ids=["steps_1", "tf_-1"],
+)
+def test_horizon_bad_grid_exits_1_with_the_engine_message(tmp_path, capsys, flags, message):
+    # lightcone_boundary alone checks --steps and --tf, before any file is
+    # opened; --tf nan is test_horizon_non_finite_tf_exits_1_without_artifact's.
+    assert run("horizon", *flags, "--output", str(tmp_path / "x.csv")) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"lrcone horizon: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -829,7 +847,7 @@ def _schema_versions(node) -> int:
 
 
 def test_every_document_has_one_schema_version_at_the_top(tmp_path, monkeypatch):
-    # Every JSON document, the fidelity report too, and every CSV config line.
+    # Every JSON document and every CSV config line: one document per run.
     monkeypatch.chdir(tmp_path)
     for command in _DEFAULT_NAMES:
         for fmt in ("json",) if command == "velocity" else ("csv", "json"):
@@ -837,7 +855,7 @@ def test_every_document_has_one_schema_version_at_the_top(tmp_path, monkeypatch)
             out = f"{command}.{fmt}"
             assert run(command, *_BASE_ARGS[command], *flags, "--output", out) in (0, 2)
     documents = sorted(p for p in tmp_path.iterdir() if not p.name.endswith(".meta.json"))
-    assert len(documents) == 11
+    assert len(documents) == 9
     for path in documents:
         text = path.read_text()
         if text.startswith("# config: "):
@@ -854,10 +872,7 @@ def test_json_default_name_follows_format(tmp_path, monkeypatch, command):
         cli.EXIT_MISMATCH if command == "count" else cli.EXIT_OK
     )
     name = _DEFAULT_NAMES[command].removesuffix(".csv") + ".json"
-    expected = {name, name + ".meta.json"}
-    if command == "count":
-        expected.add(name + ".fidelity.json")
-    assert {p.name for p in tmp_path.iterdir()} == expected
+    assert {p.name for p in tmp_path.iterdir()} == {name, name + ".meta.json"}
     assert json.loads((tmp_path / name).read_text())["config"]["output"]["format"] == "json"
     assert json.loads((tmp_path / (name + ".meta.json")).read_text())["output"] == name
 

@@ -114,7 +114,11 @@ def test_tail_bound_formula_and_preconditions():
     # Geometric comparison fails once x >= n + 2: nothing is certified.
     assert best_tail_bound(0, 10.0, 0, HALF) == math.inf
     assert best_tail_bound(5, 0.0, 2, HALF) == 0.0
-    for n_truncate, t, d in [(-1, 1.0, 2), (5, 1.0, -1), (5, -1.0, 2)]:
+    # A negative of 5001 digits is named by its sign: it has no decimal string.
+    huge = 10**5000
+    for n_truncate, t, d in [
+        (-1, 1.0, 2), (5, 1.0, -1), (5, -1.0, 2), (-huge, 1.0, 2), (5, 1.0, -huge)
+    ]:
         with pytest.raises(ValueError, match="must be >= 0"):
             best_tail_bound(n_truncate, t, d, HALF)
 
@@ -333,7 +337,7 @@ def test_dp_source_hard_limit():
 def test_closed_form_source_diverges_from_dp(shared_source):
     # Dual-route check: the literal closed form, summed exactly through the
     # same truncation, gives a different series from the one evaluated; the
-    # fidelity report in pathcount governs.
+    # `lrcone count` table flags where the two counts differ.
     dp = evaluate_bound(1.0, 2, HALF, source=shared_source, rel_tol=1e-10)
     half = Fraction(1, 2)
     cf = exact_bound_series(Fraction(1), 2, half, half, count_walks_closed_form, dp.n_truncate)
@@ -350,11 +354,13 @@ def test_convergence_error_when_budget_too_small():
 
 
 def test_distance_past_float_range_is_refused_by_the_budget():
-    # 2 d is past the float range; the budget refuses it before 2.0 * d overflows.
-    with pytest.raises(
-        ConvergenceError, match=r"not certified before n = 0 .*hard limit 8192"
-    ):
-        evaluate_bound(1.0, 10**400, HALF)
+    # 2 d is past the float range; the budget refuses it before 2.0 * d
+    # overflows, and names which side of 2**64 d lies on, not its digits.
+    for d in (10**400, 10**5000):
+        with pytest.raises(
+            ConvergenceError, match=r"d > 2\*\*64 not certified before n = 0 .*hard limit 8192"
+        ):
+            evaluate_bound(1.0, d, HALF)
 
 
 @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-10, 1.0, 1e300])

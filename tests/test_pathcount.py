@@ -350,17 +350,17 @@ def test_closed_form_empty_sum_and_validation():
         count_walks_closed_form(4, -2)
 
 
-def test_fidelity_report_flags_divergence(tmp_path):
-    out = tmp_path / "counts.csv"
-    code = cli.main(["count", "--nmax", "10", "--d", "0,1,2,3,4", "--output", str(out)])
-    assert code == cli.EXIT_MISMATCH
-    report = json.loads((tmp_path / "counts.csv.fidelity.json").read_text())
-    assert report["canonical_source"] == "dp"
-    assert report["entries_compared"] == 55
-    assert report["mismatch_count"] > 0
-    by_key = {(m["n"], m["d"]): m for m in report["mismatches"]}
-    assert by_key[(6, 2)] == {"n": 6, "d": 2, "dp": 10, "closed_form": 5760}
-    assert by_key[(2, 1)] == {"n": 2, "d": 1, "dp": 1, "closed_form": 0}
+def test_count_table_flags_divergence(tmp_path):
+    out = tmp_path / "counts.json"
+    argv = ["count", "--nmax", "10", "--d", "0,1,2,3,4", "--format", "json", "--output", str(out)]
+    assert cli.main(argv) == cli.EXIT_MISMATCH
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 55
+    # The match_flag 0 rows are the disagreements.
+    by_key = {(n, d): (dp, closed) for n, d, dp, closed, match in rows if not match}
+    assert by_key
+    assert by_key[(6, 2)] == (10, 5760)
+    assert by_key[(2, 1)] == (1, 0)
     # Where both vanish they agree; such entries are not mismatches.
     assert (1, 0) not in by_key
 

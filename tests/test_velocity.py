@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from lrcone import cli
 from lrcone.lrbound import BoundEvaluator, ConvergenceError, Couplings, DpCountSource
 from lrcone.velocity import (
+    MAX_EXPANSIONS,
     ArrivalTime,
+    ThresholdUnreachableError,
     _line_fit,
     arrival_time,
     extract_velocity,
@@ -149,6 +151,28 @@ def test_arrival_time_replays_plain_bisection(d, log10_eps, which):
     time, value, bisect_evaluations = bisect_arrival_time(d, epsilon, evaluator)
     assert (arrival.time, arrival.bound_value) == (time, value)
     assert arrival.evaluations < bisect_evaluations
+
+
+@pytest.mark.parametrize("d", [1, 3, 10, 25])
+def test_arrival_time_expands_a_short_bracket_as_bisection_does(monkeypatch, evaluator, d):
+    # At a quarter of the geodesic bracket B is still below epsilon, so the
+    # bracket grows by 1.5 first; the reference reads the patched name too.
+    true_bracket = geodesic_bracket_time
+    monkeypatch.setattr(
+        "lrcone.velocity.geodesic_bracket_time", lambda *a: 0.25 * true_bracket(*a)
+    )
+    assert evaluator.evaluate(0.25 * true_bracket(d, 1e-8, HALF), d).value < 1e-8
+    arrival = arrival_time(d, 1e-8, evaluator)
+    time, value, _ = bisect_arrival_time(d, 1e-8, evaluator)
+    assert (arrival.time, arrival.bound_value) == (time, value)
+
+
+def test_arrival_time_refuses_a_bracket_that_never_reaches_epsilon(monkeypatch):
+    monkeypatch.setattr("lrcone.velocity.geodesic_bracket_time", lambda *a: 1e-300)
+    ev = BoundEvaluator(HALF)
+    with pytest.raises(ThresholdUnreachableError, match=r"no time with B\(t, 3\) >= 1e-08"):
+        arrival_time(3, 1e-8, ev)
+    assert ev.evaluations == 1 + MAX_EXPANSIONS
 
 
 def test_arrival_time_counts_every_evaluation():
@@ -343,10 +367,12 @@ def test_extract_velocity_validation(evaluator):
 
 
 def test_extract_velocity_refuses_window_past_work_budget_before_any_arrival():
-    # d = 5000 needs walks of length 10000, past hard_n_limit 8192.
+    # d = 5000 needs walks of length 10000, past hard_n_limit 8192; at 10**400
+    # the budget refuses before max / min of the distances overflows a float.
     ev = BoundEvaluator(HALF)
-    with pytest.raises(ConvergenceError, match="hard limit"):
-        extract_velocity(HALF, d_values=[10, 20, 40, 5000], epsilon=1e-8, evaluator=ev)
+    for d_values in ([10, 20, 40, 5000], [1, 2, 3, 10**400]):
+        with pytest.raises(ConvergenceError, match="hard limit"):
+            extract_velocity(HALF, d_values=d_values, epsilon=1e-8, evaluator=ev)
     assert ev.evaluations == 0
 
 
