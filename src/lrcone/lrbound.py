@@ -145,8 +145,8 @@ class DpCountSource:
     length asked for, up to `hard_n_limit`, the work budget of every series
     evaluated from this source.  Each column and math.log of its counts grow
     by `extend_walk_counts` only to the lengths read.  The name dates from the
-    grid dynamic program, now `pathcount.axis_walk_counts`: `lrcone count`'s
-    reference and the tests' oracle for these columns.
+    grid dynamic program, now `pathcount.axis_walk_counts`, the tests' oracle
+    for these columns.
     """
 
     def __init__(self, n_max: int = 64, *, hard_n_limit: int = 8192) -> None:

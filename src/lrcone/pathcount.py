@@ -6,18 +6,19 @@ allowed.  Three count sources exist:
 * `extend_walk_counts`, the exact per-distance closed form on the Lieb lattice
   for same-orientation link pairs d grid steps apart perpendicular to the
   link axis (the canonical pair family, G' distance exactly 2 d).  It is
-  canonical: it grows each count column of the bound series in `lrbound` in
-  place.
+  canonical, the one exact source of the program: it grows each count
+  column of the bound series in `lrbound` in place, and `lrcone count`
+  audits the paper's formula against its columns.
 * the neighbor-sum dynamic program
 
       counts(n + 1, v) = sum over u adjacent to v of counts(n, u)
 
   with exact Python integers, on a built lattice (`count_walks_dp`) or on
   one folded quadrant of the implicit infinite plane (`axis_walk_counts`).
-  It is the independent oracle the closed form is tested against, and the
-  reference `lrcone count` audits the paper's formula against.
+  It is the independent oracle the closed form is tested against, and runs
+  only in the tests and the benchmark.
 * the paper's literal binomial expression (`count_walks_closed_form`), kept
-  as written so that its disagreement with the dynamic program stays visible.
+  as written so that its disagreement with the exact counts stays visible.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def count_walks_closed_form(n: int, d: int) -> int:
 
     with every binomial whose lower index is half-integer or out of range read
     as zero, and an empty summation range read as zero.  Compare against the
-    dynamic program before trusting any value.
+    exact counts before trusting any value.
     """
     if n < 0 or d < 0:
         raise ValueError(f"n and d must be >= 0, got n = {n}, d = {d}")

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from lrcone import cli
+from lrcone import cli, pathcount
 from lrcone.cosmo import (
     BranchingConvention,
     HorizonModel,
@@ -100,6 +100,10 @@ _COUNT_DIGESTS = {
 
 @pytest.mark.parametrize("name", list(_COUNT_DIGESTS))
 def test_count_artifact_bytes_are_pinned(tmp_path, monkeypatch, name):
+    # The table reads the canonical columns; the grid and lattice dynamic
+    # programs are the tests' oracles and never run in the command.
+    for oracle in ("axis_walk_counts", "count_walks_dp"):
+        monkeypatch.setattr(pathcount, oracle, lambda *a, **k: pytest.fail("dynamic program ran"))
     monkeypatch.chdir(tmp_path)
     fmt = name.rsplit(".", 1)[1]
     argv = ["count", "--nmax", "64", "--d", "0,1,2,3,32", "--format", fmt, "--output", name]
@@ -123,9 +127,12 @@ def test_count_rejects_nonplanar_dimension(tmp_path, capsys):
         ("count", "--d", ""),
         ("count", "--d", "1,x"),
         ("count", "--d", "-2"),
-        # Past COUNT_LIMIT: hours of grid work, or a 1e9-entry target list.
+        # Past COUNT_LIMIT: at --nmax 5000 the paper's formula runs for hours,
+        # and a d above n_max / 2 adds only zero counts.  Past ROW_LIMIT: 195
+        # distances at --nmax 512, over a minute of the formula.
         ("count", "--nmax", "5000"),
         ("count", "--d", "1000000000"),
+        ("count", "--nmax", "512", "--d", ",".join(["0"] * 195)),
     ],
 )
 def test_count_usage_errors(tmp_path, argv):
@@ -491,7 +498,7 @@ def test_horizon_non_finite_tf_exits_1_without_artifact(tmp_path, capsys, flags)
     "flags,message",
     [
         (["--steps", "1"], "steps must be >= 2, got 1"),
-        (["--tf", "-1"], "need t_start <= t_end, got 0.0, -1.0"),
+        (["--tf", "-1"], "the end time -1.0 is before the start time 0.0"),
     ],
     ids=["steps_1", "tf_-1"],
 )
