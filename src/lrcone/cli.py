@@ -201,13 +201,16 @@ def cmd_count(args: argparse.Namespace) -> int:
 
     # Exact counts are the canonical columns, which the tests hold equal to the
     # dynamic program whose name the dp_count header keeps until a schema bump.
-    rows = []
-    for d in d_list:
+    # Each distinct distance is computed once; a repeated --d entry repeats its rows.
+    blocks: dict[int, list[tuple]] = {}
+    for d in dict.fromkeys(d_list):
         exact: list[int] = []
         extend_walk_counts(exact, [], d, args.nmax)
+        block = blocks[d] = []
         for n, count in enumerate(exact):
             closed = count_walks_closed_form(n, d)
-            rows.append((n, d, count, closed, int(count == closed)))
+            block.append((n, d, count, closed, int(count == closed)))
+    rows = [row for d in d_list for row in blocks[d]]
     path = _output_path(args)
     write_table(
         path, args.format, ["n", "d", "dp_count", "closed_form", "match_flag"], rows, args.echo

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .couplings import Couplings
 
@@ -73,23 +72,28 @@ def v_lr_dimension(
     return v
 
 
-@dataclass(frozen=True)
-class HorizonModel:
-    """Linearly shrinking dimension D(t) = D_in (1 - alpha t).
-
-    alpha = 0 is allowed (constant dimension, linear light cone).  ``toy``
-    mode integrates through the D = 2 crossing with zero velocity below it;
-    ``strict`` mode refuses intervals that reach below the threshold.  Both
-    modes reject times where D(t) < 1.
-    """
-
+class _HorizonFields(NamedTuple):
     D_in: float
     alpha: float
     couplings: Couplings
     convention: BranchingConvention = BranchingConvention.AXIS_PAIRS
     mode: str = "toy"
 
-    def __post_init__(self) -> None:
+
+class HorizonModel(_HorizonFields):
+    """Linearly shrinking dimension D(t) = D_in (1 - alpha t).
+
+    alpha = 0 is allowed (constant dimension, linear light cone).  ``toy``
+    mode integrates through the D = 2 crossing with zero velocity below it;
+    ``strict`` mode refuses intervals that reach below the threshold.  Both
+    modes reject times where D(t) < 1.  Validated on construction and on
+    `_replace`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.D_in >= 1.0 and math.isfinite(self.D_in)):
             raise ValueError(f"D_in must be finite and >= 1, got {self.D_in}")
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
@@ -98,6 +102,11 @@ class HorizonModel:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.convention, BranchingConvention):
             raise ValueError(f"convention must be a BranchingConvention, got {self.convention!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     def dimension(self, t: float) -> float:
         return self.D_in * (1.0 - self.alpha * t)
@@ -147,7 +156,7 @@ def _velocity_cutoff(model: HorizonModel, t_i: float, t_f: float) -> float:
     checking t_f checks the whole interval and every panel inside it.
     """
     if not (math.isfinite(t_i) and math.isfinite(t_f)):
-        raise ValueError(f"t_i and t_f must be finite, got t_i = {t_i}, t_f = {t_f}")
+        raise ValueError(f"the start and end times must be finite, got {t_i} and {t_f}")
     if t_f < t_i:
         raise ValueError(f"the end time {t_f} is before the start time {t_i}")
     d_end = model.dimension(t_f)
@@ -167,21 +176,31 @@ def _velocity_cutoff(model: HorizonModel, t_i: float, t_f: float) -> float:
 
 
 def _panel_distances(
-    model: HorizonModel, t_cut: float, t_prev: float, t_next: float
-) -> tuple[float, float]:
-    """(axis_pairs, degrees) distances over [t_prev, t_next], clipped at t_cut."""
-    t_stop = min(t_next, t_cut)
-    if t_stop <= t_prev:
-        return 0.0, 0.0
-    D_lo = max(model.dimension(t_stop), PLAQUETTE_THRESHOLD)
-    D_hi = model.dimension(t_prev)
-    duration = t_stop - t_prev
+    model: HorizonModel, t_cut: float, times: Sequence[float]
+) -> Iterator[tuple[float, float]]:
+    """(axis_pairs, degrees) distances over each panel of `times`, clipped at t_cut.
+
+    The couplings' velocity unit, D_in and alpha are read once, and D(t)
+    is computed once per time, by HorizonModel.dimension's expression.
+    """
+    D_in, alpha = model.D_in, model.alpha
     c = model.couplings
     v_unit = c.step_factor * (math.e / 2.0) * math.sqrt(c.g * c.J)
-    return (
-        v_unit * _mean_root_branching(D_lo, D_hi, BranchingConvention.AXIS_PAIRS) * duration,
-        v_unit * _mean_root_branching(D_lo, D_hi, BranchingConvention.DEGREES) * duration,
-    )
+    D_hi = D_in * (1.0 - alpha * times[0])
+    for t_prev, t_next in zip(times, times[1:]):
+        D_next = D_in * (1.0 - alpha * t_next)
+        t_stop = min(t_next, t_cut)
+        if t_stop <= t_prev:
+            yield 0.0, 0.0
+        else:
+            D_stop = D_next if t_stop == t_next else D_in * (1.0 - alpha * t_stop)
+            D_lo = max(D_stop, PLAQUETTE_THRESHOLD)
+            duration = t_stop - t_prev
+            yield (
+                v_unit * _mean_root_branching(D_lo, D_hi, BranchingConvention.AXIS_PAIRS) * duration,
+                v_unit * _mean_root_branching(D_lo, D_hi, BranchingConvention.DEGREES) * duration,
+            )
+        D_hi = D_next
 
 
 def _finite_radius(r: float) -> float:
@@ -199,7 +218,7 @@ def horizon_distance(model: HorizonModel, t_i: float, t_f: float) -> float:
     vanishes once D(t) drops below the plaquette threshold, so the interval is
     cut there.  A radius past the float range is refused.
     """
-    r_axis, r_deg = _panel_distances(model, _velocity_cutoff(model, t_i, t_f), t_i, t_f)
+    r_axis, r_deg = next(_panel_distances(model, _velocity_cutoff(model, t_i, t_f), (t_i, t_f)))
     return _finite_radius(r_axis if model.convention is BranchingConvention.AXIS_PAIRS else r_deg)
 
 
@@ -229,8 +248,7 @@ def lightcone_boundary(
     times.append(t_end)
     rows = [(times[0], 0.0, 0.0)]
     r_axis = r_deg = 0.0
-    for t_prev, t_next in zip(times, times[1:]):
-        d_axis, d_deg = _panel_distances(model, t_cut, t_prev, t_next)
+    for t_next, (d_axis, d_deg) in zip(times[1:], _panel_distances(model, t_cut, times)):
         r_axis += d_axis
         r_deg += d_deg
         rows.append((t_next, r_axis, r_deg))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_STEP_FACTOR = math.sqrt(2.0)
 
@@ -23,22 +23,27 @@ class NumericalFailure(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Couplings:
-    """Model couplings and observable norms entering the bound prefactor.
-
-    g multiplies the charging-energy term, J the plaquette term; the bound
-    depends on them only through the product g J.  step_factor is the
-    per-step weight (0 < step_factor <= 2).
-    """
-
+class _CouplingsFields(NamedTuple):
     g: float
     J: float
     origin_norm: float = 1.0
     probe_norm: float = 1.0
     step_factor: float = DEFAULT_STEP_FACTOR
 
-    def __post_init__(self) -> None:
+
+class Couplings(_CouplingsFields):
+    """Model couplings and observable norms entering the bound prefactor.
+
+    g multiplies the charging-energy term, J the plaquette term; the bound
+    depends on them only through the product g J.  step_factor is the
+    per-step weight (0 < step_factor <= 2).  Validated on construction and
+    on `_replace`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.g > 0 and math.isfinite(self.g)):
             raise ValueError(f"g must be finite and > 0, got {self.g}")
         if not (self.J > 0 and math.isfinite(self.J)):
@@ -57,6 +62,11 @@ class Couplings:
                 f"g*J must lie in [{sys.float_info.min}, {sys.float_info.max / 8}], "
                 f"got g*J = {gJ} (g = {self.g}, J = {self.J})"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def coupling_speed(self) -> float:

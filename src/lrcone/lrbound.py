@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .couplings import Couplings, NumericalFailure
 from .pathcount import extend_walk_counts
@@ -205,8 +205,7 @@ class DpCountSource:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundSeriesResult:
+class BoundSeriesResult(NamedTuple):
     """One evaluation of B(t, d) with its truncation certificate."""
 
     t: float

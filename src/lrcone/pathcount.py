@@ -24,8 +24,7 @@ allowed.  Three count sources exist:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .lattice import DecoratedLattice
@@ -61,8 +60,7 @@ def check_extent_guard(lattice: DecoratedLattice, origin: int, n_max: int) -> No
             )
 
 
-@dataclass(frozen=True)
-class PathCountTable:
+class PathCountTable(NamedTuple):
     """Exact walk counts from one origin, layer by layer.
 
     `target_counts[q][n]` is the number of length-n walks from the origin to
@@ -169,8 +167,7 @@ def perpendicular_target(lattice: DecoratedLattice, d: int) -> int:
     return lattice.vertex_id(tuple(coord))
 
 
-@dataclass(frozen=True)
-class AxisWalkCounts:
+class AxisWalkCounts(NamedTuple):
     """Walk counts from the canonical origin to every canonical target.
 
     counts[d][n] is the number of length-n walks from P to the link d grid

@@ -18,8 +18,7 @@ the least-squares values of the float inputs, each rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .couplings import Couplings, NumericalFailure
 from .lrbound import BoundEvaluator
@@ -40,8 +39,7 @@ class ThresholdUnreachableError(NumericalFailure):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KappaOptimum:
+class KappaOptimum(NamedTuple):
     kappa_star: float
     objective_min: float  # exp(kappa) / kappa at the optimum
     v_lr: float  # step_factor * coupling_speed * objective_min
@@ -67,8 +65,7 @@ def optimize_kappa(couplings: Couplings) -> KappaOptimum:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArrivalTime:
+class ArrivalTime(NamedTuple):
     d: int
     time: float
     bound_value: float
@@ -214,8 +211,7 @@ def _secant_bracket(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LightConeFit:
+class LightConeFit(NamedTuple):
     """Least-squares description of the numerically observed cone.
 
     residual_rms is the root-mean-square deviation of the fitted front from
@@ -336,8 +332,7 @@ def fit_lightcone(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VelocityReport:
+class VelocityReport(NamedTuple):
     arrivals: tuple[ArrivalTime, ...]
     fit: LightConeFit
     analytic: KappaOptimum

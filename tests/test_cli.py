@@ -112,6 +112,26 @@ def test_count_artifact_bytes_are_pinned(tmp_path, monkeypatch, name):
     assert {p.name for p in tmp_path.iterdir()} == {name, name + ".meta.json"}
 
 
+def test_count_computes_each_distinct_distance_once(tmp_path, monkeypatch):
+    # A repeated --d entry repeats its block of rows, not the paper's formula.
+    calls = []
+    closed_form = pathcount.count_walks_closed_form
+
+    def counted(n, d):
+        calls.append((n, d))
+        return closed_form(n, d)
+
+    monkeypatch.setattr(pathcount, "count_walks_closed_form", counted)
+    once, repeated = tmp_path / "once.csv", tmp_path / "repeated.csv"
+    assert run("count", "--nmax", "6", "--d", "0,1", "--output", str(once)) == cli.EXIT_MISMATCH
+    calls.clear()
+    argv = ["count", "--nmax", "6", "--d", "1,0,1,1", "--output", str(repeated)]
+    assert run(*argv) == cli.EXIT_MISMATCH
+    assert calls == [(n, d) for d in (1, 0) for n in range(7)]
+    rows_once = read_csv(once)[2]
+    assert read_csv(repeated)[2] == [r for d in "1011" for r in rows_once if r[1] == d]
+
+
 def test_count_rejects_nonplanar_dimension(tmp_path, capsys):
     # count is planar by construction; there is no flag to ask otherwise.
     code = run("count", "--dimension", "3", "--output", str(tmp_path / "x.csv"))
@@ -499,12 +519,12 @@ def test_horizon_non_finite_tf_exits_1_without_artifact(tmp_path, capsys, flags)
     [
         (["--steps", "1"], "steps must be >= 2, got 1"),
         (["--tf", "-1"], "the end time -1.0 is before the start time 0.0"),
+        (["--tf", "nan"], "the start and end times must be finite, got 0.0 and nan"),
     ],
-    ids=["steps_1", "tf_-1"],
+    ids=["steps_1", "tf_-1", "tf_nan"],
 )
 def test_horizon_bad_grid_exits_1_with_the_engine_message(tmp_path, capsys, flags, message):
-    # lightcone_boundary alone checks --steps and --tf, before any file is
-    # opened; --tf nan is test_horizon_non_finite_tf_exits_1_without_artifact's.
+    # lightcone_boundary alone checks --steps and --tf, before any file is opened.
     assert run("horizon", *flags, "--output", str(tmp_path / "x.csv")) == cli.EXIT_USAGE
     assert capsys.readouterr().err == f"lrcone horizon: {message}\n"
     assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,5 @@
 """Dimension-dependent velocity and the shrinking-dimension horizon model."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +132,15 @@ def test_horizon_model_validation():
         HorizonModel(D_in=4.0, alpha=0.1, couplings=HALF, mode="other")
     with pytest.raises(ValueError, match="convention"):
         HorizonModel(D_in=4.0, alpha=0.1, couplings=HALF, convention="axis_pairs")
+    # _replace validates too, the couplings included.
+    valid = HorizonModel(D_in=4.0, alpha=0.1, couplings=HALF)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        valid._replace(mode="bogus")
+    with pytest.raises(ValueError, match="D_in"):
+        valid._replace(D_in=0.5)
+    with pytest.raises(ValueError, match="g must be finite and > 0, got -1.0"):
+        valid._replace(couplings=HALF._replace(g=-1.0))
+    assert type(valid._replace(mode="strict")) is HorizonModel
 
 
 def test_dimension_track_and_crossings():
@@ -214,7 +222,7 @@ def test_lightcone_boundary_shape_and_monotonicity():
     for col, conv in ((1, AXIS), (2, DEG)):
         radii = [row[col] for row in samples]
         assert all(b >= a for a, b in zip(radii, radii[1:]))
-        r_end = horizon_distance(dataclasses.replace(m, convention=conv), 0.0, 10.0)
+        r_end = horizon_distance(m._replace(convention=conv), 0.0, 10.0)
         assert radii[-1] == pytest.approx(r_end, rel=1e-9)
 
 
@@ -333,7 +341,7 @@ def _two_pass_rows(model, t_start, t_end, steps):
     times.append(t_end)
     columns = []
     for convention in (AXIS, DEG):
-        m = dataclasses.replace(model, convention=convention)
+        m = model._replace(convention=convention)
         total, column = 0.0, [0.0]
         for t_prev, t_next in zip(times, times[1:]):
             total += horizon_distance(m, t_prev, t_next)

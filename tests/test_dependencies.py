@@ -1,10 +1,12 @@
 """The package has no runtime dependencies: nothing in it loads numpy or scipy.
 
 Importing the package and running every command, `count` included, leaves
-both out of `sys.modules`.  numpy is a test dependency only.  Within the
-package, each command loads only its own engine: `import lrcone.cli` loads
-the horizon model and the leaf `couplings` module, and the series engine
-(`pathcount`, `lrbound`, `velocity`) only when a command runs it.
+both out of `sys.modules`, and `dataclasses` and `inspect` too: the records
+are NamedTuples, which cost a fraction of a dataclass's import.  numpy is a
+test dependency only.  Within the package, each command loads only its own
+engine: `import lrcone.cli` loads the horizon model and the leaf `couplings`
+module, and the series engine (`pathcount`, `lrbound`, `velocity`) only when
+a command runs it.
 """
 
 import json
@@ -25,7 +27,10 @@ import lrcone.cli, lrcone.velocity, lrcone.cosmo, lrcone.lrbound, lrcone.pathcou
 from lrcone import cli
 
 def heavy():
-    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))
+    return sorted(
+        m for m in sys.modules
+        if m.split('.')[0] in ('numpy', 'scipy') or m in ('dataclasses', 'inspect')
+    )
 
 assert not heavy(), heavy()
 out = sys.argv[1]

@@ -5,7 +5,6 @@ here the independent route is the series assembly: Fraction arithmetic with
 no logs or floats, versus the implementation's log-space fsum.
 """
 
-import dataclasses
 import math
 import re
 import sys
@@ -69,11 +68,16 @@ def test_couplings_defaults_and_scales():
         {"g": 1.0, "J": 1.0, "step_factor": 0.0},
         {"g": 1.0, "J": 1.0, "step_factor": 2.5},
         {"g": math.inf, "J": 1.0},
+        {"g": -1.0, "J": 1.0},
     ],
 )
 def test_couplings_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as built:
         Couplings(**kwargs)
+    # _replace validates too, with the same message.
+    with pytest.raises(ValueError) as replaced:
+        HALF._replace(**kwargs)
+    assert str(replaced.value) == str(built.value)
 
 
 @pytest.mark.parametrize("g,J", [(1e300, 1e300), (1e-200, 1e-200), (1e155, 1e154), (1e-160, 1e-150)])
@@ -561,7 +565,7 @@ _TAIL_SOURCE = DpCountSource()
 def test_returned_tail_is_finite(t, d, rel_tol, norms, couplings):
     # With rel_tol < 1 an infinite tail could pass only with an overflowing
     # value, and that is refused.
-    couplings = dataclasses.replace(couplings, origin_norm=norms[0], probe_norm=norms[1])
+    couplings = couplings._replace(origin_norm=norms[0], probe_norm=norms[1])
     try:
         result = evaluate_bound(t, d, couplings, source=_TAIL_SOURCE, rel_tol=rel_tol)
     except ConvergenceError:
