@@ -145,9 +145,19 @@ def _output_path(args: argparse.Namespace) -> str:
     return args.path if args.path is not None else f"{_DEFAULT_STEMS[args.command]}.{args.format}"
 
 
-def _write_json_doc(path: str, doc: dict) -> None:
+def _write_json_doc(path: str, doc: dict, rows: list | None = None) -> None:
+    """json.dumps(doc, indent=1, sort_keys=True) and a newline, written to path.
+
+    A table passes its rows, each a nonempty sequence of numbers, apart from
+    doc and its "rows": [].  indent makes CPython encode in pure Python, so
+    the rows take one C-encoder call instead, re-indented to the same bytes.
+    """
+    text = json.dumps(doc, indent=1, sort_keys=True)
+    if rows:
+        flat = json.dumps(rows)[2:-2].replace("], [", "\n  ],\n  [\n   ").replace(", ", ",\n   ")
+        text = text.replace('\n "rows": []', '\n "rows": [\n  [\n   ' + flat + "\n  ]\n ]", 1)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def _write_sidecar(path: str, **counters: int) -> None:
@@ -168,7 +178,7 @@ def write_table(path: str, fmt: str, columns: list[str], rows: list[tuple], echo
             writer.writerow(columns)
             writer.writerows(rows)
     else:
-        _write_json_doc(path, {**echo, "columns": columns, "rows": [list(r) for r in rows]})
+        _write_json_doc(path, {**echo, "columns": columns, "rows": []}, rows)
 
 
 def _parse_list(text: str, kind: type, *, name: str) -> list:
@@ -188,7 +198,7 @@ def _parse_list(text: str, kind: type, *, name: str) -> list:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from .pathcount import count_walks_closed_form, extend_walk_counts
+    from .pathcount import count_walks_closed_form, grow_walk_counts
 
     if not 0 <= args.nmax <= COUNT_LIMIT:
         raise ValueError(f"--nmax must lie in [0, {COUNT_LIMIT}], got {args.nmax}")
@@ -205,7 +215,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     blocks: dict[int, list[tuple]] = {}
     for d in dict.fromkeys(d_list):
         exact: list[int] = []
-        extend_walk_counts(exact, [], d, args.nmax)
+        grow_walk_counts(exact, d, args.nmax)
         block = blocks[d] = []
         for n, count in enumerate(exact):
             closed = count_walks_closed_form(n, d)

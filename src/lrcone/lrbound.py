@@ -6,12 +6,12 @@ perpendicular family, graph distance 2 d on the decorated graph), the bound is
     B(t, d) = 2 |P| |Q| * sum over n >= 0 of (step * t)^n / n! * a_n,
     a_n     = walks(n, d) * (g J)^(n/2),
 
-where walks(n, d) is the exact count from `pathcount.extend_walk_counts` (the
-per-distance closed form on the Lieb lattice, tested against the lattice
-dynamic program) and step is the per-step weight factor (sqrt(2) by
-default).  Terms are evaluated in log space so that huge integer counts and
-large n never overflow, and the series is truncated under a rigorous tail
-bound derived from the crude exponential dominating count
+where walks(n, d) is the exact count from `pathcount.grow_walk_counts` (the
+per-distance Lieb-lattice column, grown by a proven recurrence and tested
+against the lattice dynamic program) and step is the per-step weight factor
+(sqrt(2) by default).  Terms are evaluated in log space so that huge integer
+counts and large n never overflow, and the series is truncated under a
+rigorous tail bound derived from the crude exponential dominating count
 2 * sqrt(8)^n * exp(kappa (n - 2 d + 4)):
 
     tail(N) <= 4 |P| |Q| exp(kappa (4 - 2 d)) * x^(N+1) / (N+1)! * 1 / (1 - x / (N+2)),
@@ -49,7 +49,7 @@ from array import array
 from typing import NamedTuple
 
 from .couplings import Couplings, NumericalFailure
-from .pathcount import extend_walk_counts
+from .pathcount import grow_walk_counts
 
 # Not used here; perfbench's traced run (--trace 1) patches this attribute.
 from .pathcount import axis_walk_counts  # noqa: F401
@@ -139,14 +139,14 @@ def best_tail_bound(n_truncate: int, t: float, d: int, couplings: Couplings) -> 
 
 
 class DpCountSource:
-    """Exact walk counts, one closed-form column per distance, grown in place.
+    """Exact walk counts, one column per distance, grown in place.
 
     `ensure` raises `n_max`, the walk length every count is served to, to the
     length asked for, up to `hard_n_limit`, the work budget of every series
     evaluated from this source.  Each column and math.log of its counts grow
-    by `extend_walk_counts` only to the lengths read.  The name dates from the
-    grid dynamic program, now `pathcount.axis_walk_counts`, the tests' oracle
-    for these columns.
+    by `grow_walk_counts`, O(1) big-integer steps per length, only to the
+    lengths read.  The name dates from the grid dynamic program, now
+    `pathcount.axis_walk_counts`, the tests' oracle for these columns.
     """
 
     def __init__(self, n_max: int = 64, *, hard_n_limit: int = 8192) -> None:
@@ -154,8 +154,8 @@ class DpCountSource:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.hard_n_limit = hard_n_limit
         self._n_max = n_max
-        # d -> (counts, antidiagonal edge, math.log of the counts read so far)
-        self._columns: dict[int, tuple[list[int], list[int], array]] = {}
+        # d -> (counts, math.log of the counts read so far)
+        self._columns: dict[int, tuple[list[int], array]] = {}
         self._log_factorial = array("d")
 
     @property
@@ -171,14 +171,14 @@ class DpCountSource:
             )
         self._n_max = max(self._n_max, needed)
 
-    def _column(self, n: int, d: int, reach: int) -> tuple[list[int], list[int], array]:
+    def _column(self, n: int, d: int, reach: int) -> tuple[list[int], array]:
         if not (0 <= n <= self._n_max):
             raise ValueError(f"n = {n} outside the computed range [0, {self._n_max}]")
         column = self._columns.get(d)
         if column is None:
-            column = self._columns[d] = ([], [], array("d"))
+            column = self._columns[d] = ([], array("d"))
         if n >= len(column[0]):
-            extend_walk_counts(column[0], column[1], d, reach)
+            grow_walk_counts(column[0], d, reach)
         return column
 
     def count(self, n: int, d: int) -> int:
@@ -192,7 +192,7 @@ class DpCountSource:
         COLUMN_STEP past it, within hard_n_limit, and n_max with it.
         """
         reach = max(n, min(n + COLUMN_STEP, self.hard_n_limit))
-        counts, _, log_counts = self._column(n, d, reach)
+        counts, log_counts = self._column(n, d, reach)
         self._n_max = max(self._n_max, len(counts) - 1)
         log_counts.extend(math.log(c) if c else -math.inf for c in counts[len(log_counts) :])
         log_factorial = self._log_factorial

@@ -3,10 +3,13 @@
 A walk of length n is any sequence of n unit steps on G'; revisits are
 allowed.  Three count sources exist:
 
-* `extend_walk_counts`, the exact per-distance closed form on the Lieb lattice
-  for same-orientation link pairs d grid steps apart perpendicular to the
-  link axis (the canonical pair family, G' distance exactly 2 d).  It is
-  canonical, the one exact source of the program: it grows each count
+* `grow_walk_counts`, the exact per-distance counts on the Lieb lattice for
+  same-orientation link pairs d grid steps apart perpendicular to the link
+  axis (the canonical pair family, G' distance exactly 2 d).  It seeds each
+  column from one hypergeometric sum (`hypergeometric_count`) and extends it
+  by an order-3 recurrence in the length, O(1) big-integer operations per
+  length, which a Zeilberger certificate in the tests proves for every d.
+  It is canonical, the one exact source of the program: it grows each count
   column of the bound series in `lrbound` in place, and `lrcone count`
   audits the paper's formula against its columns.
 * the neighbor-sum dynamic program
@@ -15,7 +18,7 @@ allowed.  Three count sources exist:
 
   with exact Python integers, on a built lattice (`count_walks_dp`) or on
   one folded quadrant of the implicit infinite plane (`axis_walk_counts`).
-  It is the independent oracle the closed form is tested against, and runs
+  It is the independent oracle the columns are tested against, and runs
   only in the tests and the benchmark.
 * the paper's literal binomial expression (`count_walks_closed_form`), kept
   as written so that its disagreement with the exact counts stays visible.
@@ -23,6 +26,7 @@ allowed.  Three count sources exist:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -249,37 +253,113 @@ def _comb_or_zero(m: int, doubled_lower: int) -> int:
     return math.comb(m, k)
 
 
-def extend_walk_counts(counts: list[int], edge: list[int], d: int, n_max: int) -> None:
+# The recurrence sum over k = 0..3 of p_k(m, d) N(2m + 2k, d) = 0, which
+# tests/test_recurrence.py proves for m >= 1 and every d >= 0, and at
+# m = d = 0.  Row 8 k + 7 - a is the coefficient of m^a in p_k, as its
+# coefficients of d^0, d^2, d^4, ...: degree 7 in m and 8 in d.
+_RECURRENCE = tuple(
+    tuple(map(int, row.split()))
+    for row in """
+    -128
+   -1664    -768
+   -8704   -6784    -512
+  -23296  -22912   -2816
+  -33408  -36992   -5632
+  -24192  -28544   -4864
+   -6912   -8448   -1536
+       0
+      80
+    1184     480
+    7344    5264     320
+   24720   23392    2400
+   48736   53760    6912    -128
+   56272   67024    9472    -448
+   35232   42688    6112    -448
+    9216   10816    1472    -128
+     -16
+    -264     -96
+   -1852   -1240     -64
+   -7160   -6544    -576
+  -16476  -17964   -1952      64
+  -22568  -26816   -3016     352
+  -17040  -20328   -1936     552
+   -5472   -5936    -256     208
+       1
+      18       6
+     138      87       4
+     584     514      38
+    1473    1572     135      -8
+    2214    2594     214     -46
+    1836    2145     126     -79       4
+     648     666     -10     -26       2
+""".strip().split("\n")
+)
+
+
+@functools.lru_cache(maxsize=256)
+def _recurrence_in_m(d: int) -> tuple[tuple[int, ...], ...]:
+    """p_0 .. p_3 at distance d, each as its coefficients of m^7, ..., m^0."""
+    e = d * d
+    values = []
+    for row in _RECURRENCE:
+        value = 0
+        for c in reversed(row):
+            value = value * e + c
+        values.append(value)
+    return tuple(tuple(values[k : k + 8]) for k in range(0, 32, 8))
+
+
+def hypergeometric_count(m: int, d: int) -> int:
+    """N(2m, d) by one hypergeometric sum over j = d + 2i <= m:
+
+        N(2m, d) = sum over i >= 0 of 2 4^(m-1-j) C(m, j) C(j, i)^2 (m j + d^2) / (m j),
+
+    the README's sum with its j and j - 1 terms merged; the last factor
+    reads 1 at j = 0 (d = 0), and N(0, d) = [d = 0].
+    """
+    if m < 0 or d < 0:
+        raise ValueError(f"m and d must be >= 0, got m = {m}, d = {d}")
+    if m == 0:
+        return int(d == 0)
+    num, den = 0, 1
+    for j in range(d, m + 1, 2):
+        term = 4 ** (m - j) * math.comb(m, j) * math.comb(j, (j - d) // 2) ** 2
+        top, bottom = (m * j + d * d, 2 * m * j) if j else (1, 2)
+        num, den = num * bottom + term * top * den, den * bottom
+    return num // den
+
+
+def grow_walk_counts(counts: list[int], d: int, n_max: int) -> None:
     """Extend `counts` in place to the canonical-pair counts N(n, d), n <= n_max.
 
-    On the Lieb lattice G' a link -> plaquette -> link step acts on the
-    plaquettes as T = 4 I + A_square, and square-lattice walks factor in
-    rotated coordinates, so
-
-        N(2m, d) = sum over j < m of C(m-1, j) 4^(m-1-j) r_j,
-        r_j      = 2 W_j(d) + W_j(d-1) + W_j(d+1),   W_j(y) = C(j, (j+|y|)/2)^2,
-
-    with W_j(y) = 0 on parity or range failure; odd n gives 0 and
-    N(0, d) = [d = 0].  `edge`, kept with `counts`, is the transform's last
-    antidiagonal: r_J turns it into edge'[k] = edge'[k-1] + 4 edge[k-1] from
-    edge'[0] = r_J, ending in N(2J + 2, d), so no count is computed twice.
+    On the Lieb lattice G' the counts vanish at odd n and below the
+    geodesic length 2 d.  N(2d, d) = 1, N(2d + 2, d) and N(2d + 4, d) come
+    from `hypergeometric_count`; each later even length is one step of the
+    order-3 recurrence in m, an exact division by p_3(m - 3, d), which is
+    positive for m - 3 >= d.  A remainder there raises ArithmeticError.
     """
     if n_max < 0 or d < 0:
         raise ValueError(f"n_max and d must be >= 0, got n_max = {n_max}, d = {d}")
+    polys = _recurrence_in_m(d)
     for n in range(len(counts), n_max + 1):
-        if n % 2 or n == 0:
-            counts.append(int(n == 0 and d == 0))
-            continue
-        j = len(edge)
-        value = (  # r_j, then edge'[k + 1] as edge[k] is overwritten by edge'[k]
-            2 * _comb_or_zero(j, j + d) ** 2
-            + _comb_or_zero(j, j + abs(d - 1)) ** 2
-            + _comb_or_zero(j, j + d + 1) ** 2
-        )
-        for k in range(j):
-            edge[k], value = value, value + 4 * edge[k]
-        edge.append(value)
-        counts.append(value)
+        m = n // 2
+        if n % 2 or m < d:
+            counts.append(0)
+        elif m < d + 3:
+            counts.append(hypergeometric_count(m, d))
+        else:
+            k, p = m - 3, []
+            for poly in polys:
+                value = 0
+                for c in poly:
+                    value = value * k + c
+                p.append(value)
+            value, rest = divmod(
+                -(p[0] * counts[n - 6] + p[1] * counts[n - 4] + p[2] * counts[n - 2]), p[3]
+            )
+            if rest:
+                raise ArithmeticError(f"count recurrence remainder {rest} at n = {n}, d = {d}")
+            counts.append(value)
 
 
 def count_walks_closed_form(n: int, d: int) -> int:

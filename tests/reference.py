@@ -33,7 +33,10 @@ Helpers that `lrcone` once shipped and only tests reached:
   sums it, which `scalar_evaluate_bound` uses;
 * `tail_bound`, the series tail at any kappa > 0, restated apart from
   `lrbound`'s own expression, which it equals at TAIL_KAPPA bit for bit;
-* `walk_count_column`, one closed-form count column built in one go;
+* `extend_walk_counts`, the antidiagonal growth of a count column by the
+  README's sum, O(m) big-integer additions per length, and
+  `walk_count_column`, one such column built in one go: the oracle of
+  `grow_walk_counts`' recurrence;
 * `gross_upper_bound`, the crude exponential that dominates every count and
   that the tail is derived from.
 
@@ -337,10 +340,45 @@ def tail_bound(n_truncate: int, t: float, d: int, couplings, kappa: float) -> fl
     return math.exp(log_tail)
 
 
+def extend_walk_counts(counts: list, edge: list, d: int, n_max: int) -> None:
+    """Extend `counts` in place to N(n, d), n <= n_max, by the README's sum.
+
+    On the Lieb lattice G' a link -> plaquette -> link step acts on the
+    plaquettes as T = 4 I + A_square, and square-lattice walks factor in
+    rotated coordinates, so
+
+        N(2m, d) = sum over j < m of C(m-1, j) 4^(m-1-j) r_j,
+        r_j      = 2 W_j(d) + W_j(d-1) + W_j(d+1),   W_j(y) = C(j, (j+|y|)/2)^2,
+
+    with W_j(y) = 0 on parity or range failure; odd n gives 0 and
+    N(0, d) = [d = 0].  `edge`, kept with `counts`, is the transform's last
+    antidiagonal: r_J turns it into edge'[k] = edge'[k-1] + 4 edge[k-1] from
+    edge'[0] = r_J, ending in N(2J + 2, d), so no count is computed twice.
+    O(m) big-integer additions per length: the program's columns grew so
+    before `lrcone.pathcount.grow_walk_counts`, which the tests hold equal
+    to it.
+    """
+    if n_max < 0 or d < 0:
+        raise ValueError(f"n_max and d must be >= 0, got n_max = {n_max}, d = {d}")
+
+    def w(j, y):
+        y = abs(y)
+        return math.comb(j, (j + y) // 2) ** 2 if y <= j and (j + y) % 2 == 0 else 0
+
+    for n in range(len(counts), n_max + 1):
+        if n % 2 or n == 0:
+            counts.append(int(n == 0 and d == 0))
+            continue
+        j = len(edge)
+        value = 2 * w(j, d) + w(j, d - 1) + w(j, d + 1)  # r_j, then edge'[k + 1]
+        for k in range(j):
+            edge[k], value = value, value + 4 * edge[k]
+        edge.append(value)
+        counts.append(value)
+
+
 def walk_count_column(d: int, n_max: int) -> tuple:
     """N(n, d) for n = 0 .. n_max, equal to `axis_walk_counts` where both are defined."""
-    from lrcone.pathcount import extend_walk_counts
-
     counts: list = []
     extend_walk_counts(counts, [], d, n_max)
     return tuple(counts)

@@ -123,14 +123,14 @@ def test_headline_computes_each_count_once(monkeypatch):
     # A work-count guard on the count columns: each length of each column is
     # computed once, and no column grows more than one step past its series.
     calls: dict[int, list[tuple[int, int]]] = {}
-    original = lrbound.extend_walk_counts
+    original = lrbound.grow_walk_counts
 
-    def extend(counts, edge, d, n_max):
+    def grow(counts, d, n_max):
         before = len(counts)
-        original(counts, edge, d, n_max)
+        original(counts, d, n_max)
         calls.setdefault(d, []).append((before, len(counts)))
 
-    monkeypatch.setattr(lrbound, "extend_walk_counts", extend)
+    monkeypatch.setattr(lrbound, "grow_walk_counts", grow)
     evaluator = BoundEvaluator(HEADLINE, source=DpCountSource(n_max=260))
     truncations: dict[int, int] = {}
     evaluate = evaluator.evaluate

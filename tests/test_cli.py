@@ -14,6 +14,8 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrcone import cli, pathcount
 from lrcone.cosmo import (
@@ -110,6 +112,29 @@ def test_count_artifact_bytes_are_pinned(tmp_path, monkeypatch, name):
     assert run(*argv) == cli.EXIT_MISMATCH
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == _COUNT_DIGESTS[name]
     assert {p.name for p in tmp_path.iterdir()} == {name, name + ".meta.json"}
+
+
+_NUMBER = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]),
+)
+
+
+@given(
+    rows=st.lists(st.lists(_NUMBER, min_size=1, max_size=5), max_size=8),
+    path=st.sampled_from(["t.json", 'odd "rows": [] name.json']),
+)
+@settings(max_examples=200, deadline=None)
+def test_json_table_bytes_equal_the_indented_encoder(tmp_path_factory, rows, path):
+    # write_table encodes rows with the C encoder and re-indents them; the
+    # bytes are those of the one pure-Python indent=1 encoding.
+    out = tmp_path_factory.mktemp("table") / "t.json"
+    echo = {"schema_version": 3, "config": {"output": {"path": path}}}
+    columns = [f"c{k}" for k in range(5)]
+    cli.write_table(str(out), "json", columns, [tuple(r) for r in rows], echo)
+    doc = {**echo, "columns": columns, "rows": rows}
+    assert out.read_text() == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def test_count_computes_each_distinct_distance_once(tmp_path, monkeypatch):

@@ -24,11 +24,10 @@ from lrcone.pathcount import (
     check_extent_guard,
     count_walks_closed_form,
     count_walks_dp,
-    extend_walk_counts,
     perpendicular_target,
 )
 
-from reference import gross_upper_bound, walk_count_column
+from reference import extend_walk_counts, gross_upper_bound, walk_count_column
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +242,8 @@ def test_axis_walk_counts_invariants(n_max, d):
 
 
 # ---------------------------------------------------------------------------
-# Per-distance closed-form columns: equal to the dynamic program.
+# The closed-form oracle columns (reference.extend_walk_counts): equal to the
+# dynamic program.  tests/test_recurrence.py holds the program's columns to them.
 # ---------------------------------------------------------------------------
 
 
