@@ -62,6 +62,14 @@ class Couplings(_CouplingsFields):
                 f"g*J must lie in [{sys.float_info.min}, {sys.float_info.max / 8}], "
                 f"got g*J = {gJ} (g = {self.g}, J = {self.J})"
             )
+        # The arrival bracket divides by 2 |P| |Q| and the tail takes
+        # log(4 |P| |Q|), so 2 |P| |Q| must be a normal float and twice it finite.
+        if not (sys.float_info.min <= self.prefactor and math.isfinite(2.0 * self.prefactor)):
+            raise ValueError(
+                f"2*origin_norm*probe_norm must lie in [{sys.float_info.min}, "
+                f"{sys.float_info.max / 2}], got {self.prefactor} "
+                f"(origin_norm = {self.origin_norm}, probe_norm = {self.probe_norm})"
+            )
         return self
 
     @classmethod

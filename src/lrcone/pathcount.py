@@ -5,9 +5,10 @@ allowed.  Three count sources exist:
 
 * `grow_walk_counts`, the exact per-distance counts on the Lieb lattice for
   same-orientation link pairs d grid steps apart perpendicular to the link
-  axis (the canonical pair family, G' distance exactly 2 d).  It seeds each
-  column from one hypergeometric sum (`hypergeometric_count`) and extends it
-  by an order-3 recurrence in the length, O(1) big-integer operations per
+  axis (the canonical pair family, G' distance exactly 2 d).  It starts
+  each column from three closed-form counts and extends it by an order-3
+  recurrence in the length, stored as the three polynomial factors its
+  coefficients share (`_RECURRENCE`): O(1) big-integer operations per
   length, which a Zeilberger certificate in the tests proves for every d.
   It is canonical, the one exact source of the program: it grows each count
   column of the bound series in `lrbound` in place, and `lrcone count`
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .lattice import DecoratedLattice
@@ -255,111 +256,90 @@ def _comb_or_zero(m: int, doubled_lower: int) -> int:
 
 # The recurrence sum over k = 0..3 of p_k(m, d) N(2m + 2k, d) = 0, which
 # tests/test_recurrence.py proves for m >= 1 and every d >= 0, and at
-# m = d = 0.  Row 8 k + 7 - a is the coefficient of m^a in p_k, as its
-# coefficients of d^0, d^2, d^4, ...: degree 7 in m and 8 in d.
+# m = d = 0, stored as the factors its polynomials share:
+#
+#     p_0 = -128 m (m+1)^2 (m+2) c(m+1),  p_1 = -16 (m+1)(m+2) q_1(m),
+#     p_2 = 4 (m+2) q_2(m),                p_3 = ((m+3)^2 - d^2)^2 c(m).
+#
+# Rows 0-3 are c, rows 4-9 q_1 and rows 10-16 q_2, highest power of m first,
+# each as its coefficients of d^0, d^2, d^4, d^6.
 _RECURRENCE = tuple(
     tuple(map(int, row.split()))
     for row in """
-    -128
-   -1664    -768
-   -8704   -6784    -512
-  -23296  -22912   -2816
-  -33408  -36992   -5632
-  -24192  -28544   -4864
-   -6912   -8448   -1536
-       0
-      80
-    1184     480
-    7344    5264     320
-   24720   23392    2400
-   48736   53760    6912    -128
-   56272   67024    9472    -448
-   35232   42688    6112    -448
-    9216   10816    1472    -128
-     -16
-    -264     -96
-   -1852   -1240     -64
-   -7160   -6544    -576
-  -16476  -17964   -1952      64
-  -22568  -26816   -3016     352
-  -17040  -20328   -1936     552
-   -5472   -5936    -256     208
        1
-      18       6
-     138      87       4
-     584     514      38
-    1473    1572     135      -8
-    2214    2594     214     -46
-    1836    2145     126     -79       4
-     648     666     -10     -26       2
+       6      6
+      12     17      4
+       8     10      2
+      -5
+     -59    -30
+    -272   -239    -20
+    -611   -685    -90
+    -669   -827   -122      8
+    -288   -338    -46      4
+      -4
+     -58    -24
+    -347   -262    -16
+   -1096  -1112   -112
+   -1927  -2267   -264     16
+   -1788  -2170   -226     56
+    -684   -742    -32     26
 """.strip().split("\n")
 )
 
 
+def _horner(coefficients: Iterable[int], x: int) -> int:
+    """The polynomial with these coefficients, highest power first, at x."""
+    value = 0
+    for c in coefficients:
+        value = value * x + c
+    return value
+
+
 @functools.lru_cache(maxsize=256)
 def _recurrence_in_m(d: int) -> tuple[tuple[int, ...], ...]:
-    """p_0 .. p_3 at distance d, each as its coefficients of m^7, ..., m^0."""
-    e = d * d
-    values = []
-    for row in _RECURRENCE:
-        value = 0
-        for c in reversed(row):
-            value = value * e + c
-        values.append(value)
-    return tuple(tuple(values[k : k + 8]) for k in range(0, 32, 8))
-
-
-def hypergeometric_count(m: int, d: int) -> int:
-    """N(2m, d) by one hypergeometric sum over j = d + 2i <= m:
-
-        N(2m, d) = sum over i >= 0 of 2 4^(m-1-j) C(m, j) C(j, i)^2 (m j + d^2) / (m j),
-
-    the README's sum with its j and j - 1 terms merged; the last factor
-    reads 1 at j = 0 (d = 0), and N(0, d) = [d = 0].
-    """
-    if m < 0 or d < 0:
-        raise ValueError(f"m and d must be >= 0, got m = {m}, d = {d}")
-    if m == 0:
-        return int(d == 0)
-    num, den = 0, 1
-    for j in range(d, m + 1, 2):
-        term = 4 ** (m - j) * math.comb(m, j) * math.comb(j, (j - d) // 2) ** 2
-        top, bottom = (m * j + d * d, 2 * m * j) if j else (1, 2)
-        num, den = num * bottom + term * top * den, den * bottom
-    return num // den
+    """c, q_1 and q_2 at distance d, each as its coefficients of m, highest first."""
+    values = [_horner(reversed(row), d * d) for row in _RECURRENCE]
+    return tuple(values[:4]), tuple(values[4:10]), tuple(values[10:])
 
 
 def grow_walk_counts(counts: list[int], d: int, n_max: int) -> None:
     """Extend `counts` in place to the canonical-pair counts N(n, d), n <= n_max.
 
     On the Lieb lattice G' the counts vanish at odd n and below the
-    geodesic length 2 d.  N(2d, d) = 1, N(2d + 2, d) and N(2d + 4, d) come
-    from `hypergeometric_count`; each later even length is one step of the
-    order-3 recurrence in m, an exact division by p_3(m - 3, d), which is
+    geodesic length 2 d.  The first three nonzero ones are closed forms,
+    N(2d, d) = 1, N(2d + 2, d) = 2 (2d + 1) and N(2d + 4, d) = 9d^2 + 18d + 10;
+    each later even length is one step of the order-3 recurrence in m: the
+    factors c, q_1 and q_2 by Horner (c carried to the next step), their
+    products p_0 .. p_3, and an exact division by p_3(m - 3, d), which is
     positive for m - 3 >= d.  A remainder there raises ArithmeticError.
     """
     if n_max < 0 or d < 0:
         raise ValueError(f"n_max and d must be >= 0, got n_max = {n_max}, d = {d}")
-    polys = _recurrence_in_m(d)
+    c_poly, q1_poly, q2_poly = _recurrence_in_m(d)
+    seeds = (1, 2 * (2 * d + 1), 9 * d * d + 18 * d + 10)
+    c_here = None  # c(k) for the next step's k, carried from the step before
     for n in range(len(counts), n_max + 1):
         m = n // 2
         if n % 2 or m < d:
             counts.append(0)
         elif m < d + 3:
-            counts.append(hypergeometric_count(m, d))
+            counts.append(seeds[m - d])
         else:
-            k, p = m - 3, []
-            for poly in polys:
-                value = 0
-                for c in poly:
-                    value = value * k + c
-                p.append(value)
+            k = m - 3
+            if c_here is None:
+                c_here = _horner(c_poly, k)
+            c_next = _horner(c_poly, k + 1)
+            p0 = -128 * k * (k + 1) ** 2 * (k + 2) * c_next
+            p1 = -16 * (k + 1) * (k + 2) * _horner(q1_poly, k)
+            p2 = 4 * (k + 2) * _horner(q2_poly, k)
+            p3 = ((k + 3) ** 2 - d * d) ** 2 * c_here
             value, rest = divmod(
-                -(p[0] * counts[n - 6] + p[1] * counts[n - 4] + p[2] * counts[n - 2]), p[3]
+                -(p0 * counts[n - 6] + p1 * counts[n - 4] + p2 * counts[n - 2]), p3
             )
             if rest:
                 raise ArithmeticError(f"count recurrence remainder {rest} at n = {n}, d = {d}")
             counts.append(value)
+            c_here = c_next
 
 
 def count_walks_closed_form(n: int, d: int) -> int:

@@ -83,6 +83,11 @@ def geodesic_bracket_time(d: int, epsilon: float, couplings: Couplings) -> float
         raise ValueError(f"d must be >= 1, got {d}")
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if not (0.0 < epsilon / couplings.prefactor < math.inf):
+        raise ValueError(
+            f"epsilon / (2*origin_norm*probe_norm) must be a positive finite float, "
+            f"got epsilon = {epsilon} over {couplings.prefactor}"
+        )
     log_t = (math.lgamma(2 * d + 1) + math.log(epsilon / couplings.prefactor)) / (2 * d)
     return math.exp(log_t) / (couplings.step_factor * math.sqrt(couplings.g * couplings.J))
 

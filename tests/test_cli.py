@@ -618,6 +618,28 @@ def test_coupling_product_outside_float_range_exits_1_without_artifact(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+_NORMS_OUT_OF_RANGE = "2*origin_norm*probe_norm must lie in"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["velocity", "--origin-norm", "1e-200", "--probe-norm", "1e-200"], _NORMS_OUT_OF_RANGE),
+        (["velocity", "--origin-norm", "1e154", "--probe-norm", "1e154"], _NORMS_OUT_OF_RANGE),
+        (["bound", "--origin-norm", "1e-200", "--probe-norm", "1e-200"], _NORMS_OUT_OF_RANGE),
+        (["bound", "--origin-norm", "1e300", "--probe-norm", "1e300"], _NORMS_OUT_OF_RANGE),
+        (["velocity", "--epsilon", "5e-324"], "got epsilon = 5e-324"),
+    ],
+)
+def test_prefactor_outside_float_range_exits_1_without_artifact(tmp_path, capsys, argv, message):
+    # 2 |P| |Q| underflows (a division by zero, "math domain error") or
+    # overflows ("math domain error", or a series run to exit 3), or
+    # epsilon / (2 |P| |Q|) underflows ("math domain error").
+    assert run(*argv, "--output", str(tmp_path / "x")) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # Base arguments per command, and for each (command, flag) the parser
 # registers, the flag's own arguments: adding them to the base changes the
 # artifact body (the config echo aside) or the exit code.  "missing/x" names a

@@ -91,6 +91,25 @@ def test_couplings_refuse_a_product_outside_float_range(g, J):
 def test_couplings_accept_the_ends_of_the_product_range():
     Couplings(g=sys.float_info.min, J=1.0)
     Couplings(g=sys.float_info.max / 8, J=1.0)
+    # and of the norm product's range, 2 |P| |Q| in [min, max / 2]
+    low = HALF._replace(origin_norm=sys.float_info.min / 2)
+    high = HALF._replace(origin_norm=sys.float_info.max / 4)
+    assert (low.prefactor, high.prefactor) == (sys.float_info.min, sys.float_info.max / 2)
+
+
+@pytest.mark.parametrize(
+    "origin_norm,probe_norm",
+    [(1e-200, 1e-200), (1e154, 1e154), (1e300, 1e300), (sys.float_info.max / 2, 1.0)],
+)
+def test_couplings_refuse_a_norm_product_outside_float_range(origin_norm, probe_norm):
+    # 2 |P| |Q| must be a normal float and 4 |P| |Q| finite: past either end
+    # the arrival bracket divides by 0 and the tail's log(4 |P| |Q|) fails.
+    with pytest.raises(ValueError, match=r"2\*origin_norm\*probe_norm") as built:
+        Couplings(g=0.5, J=0.5, origin_norm=origin_norm, probe_norm=probe_norm)
+    assert f"origin_norm = {origin_norm}, probe_norm = {probe_norm}" in str(built.value)
+    with pytest.raises(ValueError) as replaced:
+        HALF._replace(origin_norm=origin_norm, probe_norm=probe_norm)
+    assert str(replaced.value) == str(built.value)
 
 
 # ---------------------------------------------------------------------------

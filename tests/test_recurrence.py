@@ -1,10 +1,16 @@
-"""The count columns' order-3 recurrence, proved for every distance.
+"""The count columns' order-3 recurrence and seeds, proved for every distance.
 
 `lrcone.pathcount.grow_walk_counts` extends each column N(2m, d) by
 
     sum over k = 0..3 of p_k(m, d) N(2m + 2k, d) = 0,
 
-with the polynomials p_k of `pathcount._RECURRENCE`.  The proof is
+with the polynomials p_k assembled, as the grower assembles them, from the
+factors c, q_1 and q_2 of `pathcount._RECURRENCE`:
+
+    p_0 = -128 m (m+1)^2 (m+2) c(m+1),  p_1 = -16 (m+1)(m+2) q_1(m),
+    p_2 = 4 (m+2) q_2(m),                p_3 = ((m+3)^2 - d^2)^2 c(m).
+
+The proof is
 Zeilberger's creative telescoping (Petkovsek, Wilf and Zeilberger, "A = B",
 1996) on the hypergeometric sum N(2m, d) = sum over i >= 0 of H(m, i),
 
@@ -41,7 +47,10 @@ j = 0, has its own base term and certificate
 (`test_certificate_identity_at_d_zero`), and m = d = 0, the grower's first
 step there, is checked directly.  The grower divides by p_3(m, d) with
 m >= d, and every coefficient of p_3(d + s, d) is positive
-(`test_leading_polynomial_is_positive_from_the_geodesic`).
+(`test_leading_polynomial_is_positive_from_the_geodesic`).  The grower's
+closed-form seeds N(2d, d), N(2d + 2, d) and N(2d + 4, d) are the sum's one-
+and two-term cases, checked as identities in d
+(`test_seeds_are_the_merged_sum_for_every_d`).
 
 Only int and Fraction arithmetic, with a small polynomial class of its own.
 """
@@ -53,7 +62,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcone.pathcount import _RECURRENCE, grow_walk_counts, hypergeometric_count
+from lrcone.pathcount import _RECURRENCE, grow_walk_counts
 
 from reference import extend_walk_counts, walk_count_column
 
@@ -115,15 +124,30 @@ class Poly:
 M, I, D = Poly({(1, 0, 0): 1}), Poly({(0, 1, 0): 1}), Poly({(0, 0, 1): 1})
 
 
-def p(k, m, d):
-    """p_k(m, d) from the program's table, at ints or at polynomials."""
+def factor(rows, m, d):
+    """One factor of the program's table at (m, d), ints or polynomials."""
     value = 0
-    for row in _RECURRENCE[8 * k : 8 * k + 8]:  # m^7 first
+    for row in rows:  # highest power of m first
         inner = 0
         for c in reversed(row):
             inner = inner * d * d + c
         value = value * m + inner
     return value
+
+
+def c_factor(m, d):
+    return factor(_RECURRENCE[:4], m, d)
+
+
+def p(k, m, d):
+    """p_k(m, d) assembled from the program's factor table."""
+    if k == 0:
+        return -128 * m * (m + 1) ** 2 * (m + 2) * c_factor(m + 1, d)
+    if k == 1:
+        return -16 * (m + 1) * (m + 2) * factor(_RECURRENCE[4:10], m, d)
+    if k == 2:
+        return 4 * (m + 2) * factor(_RECURRENCE[10:], m, d)
+    return ((m + 3) ** 2 - d * d) ** 2 * c_factor(m, d)
 
 
 def a(k, m, i, d):
@@ -263,33 +287,90 @@ def test_merged_sum_is_the_readme_sum_term_by_term():
     assert (merged - 2 * (M * j + D * D)).is_zero()
     for d in range(40):
         column = walk_count_column(d, 2 * d + 120)
-        assert [hypergeometric_count(m, d) for m in range(d + 61)] == list(column[::2])
-        assert all(
-            hypergeometric_count(m, d) == sum(hypergeometric_term(m, i, d) for i in range(m + 1))
-            for m in range(1, d + 8)
-        )
+        merged = [
+            sum(hypergeometric_term(m, i, d) for i in range((m - d) // 2 + 1))  # j <= m
+            for m in range(1, d + 61)
+        ]
+        assert merged == list(column[2::2])
+
+
+def merged_term_at(s, i):
+    """H(d + s, i) as (numerator, denominator) polynomials in d, for d >= 1.
+
+    C(d + s, j) = (d + 2i + 1) .. (d + s) / (s - 2i)! and
+    C(j, i) = (d + i + 1) .. (d + 2i) / i!, with j = d + 2i <= d + s.
+    """
+    j = D + 2 * i
+    scale = Fraction(2 * 4 ** (s - 2 * i), 4 * math.factorial(s - 2 * i) * math.factorial(i) ** 2)
+    numerator = Poly.lift(scale)
+    for l in range(2 * i + 1, s + 1):
+        numerator = numerator * (D + l)
+    for l in range(i + 1, 2 * i + 1):
+        numerator = numerator * (D + l) ** 2
+    return numerator * ((D + s) * j + D * D), (D + s) * j
+
+
+def test_seeds_are_the_merged_sum_for_every_d():
+    # The grower's N(2d, d), N(2d + 2, d) and N(2d + 4, d) are the merged sum
+    # at m = d + s, s = 0, 1, 2, whose terms i <= s / 2 are rational in d:
+    # cleared of their denominators, exact identities in d, so for every
+    # d >= 1.  d = 0, where H is 0/0 at j = 0, is checked directly.
+    seeds = (Poly.lift(1), 2 * (2 * D + 1), 9 * D * D + 18 * D + 10)
+    for s, seed in enumerate(seeds):
+        terms = [merged_term_at(s, i) for i in range(s // 2 + 1)]
+        common = Poly.lift(1)
+        for _, denominator in terms:
+            common = common * denominator
+        total = Poly({})
+        for k, (numerator, _) in enumerate(terms):
+            for l, (_, denominator) in enumerate(terms):
+                if l != k:
+                    numerator = numerator * denominator
+            total = total + numerator
+        assert (seed * common - total).is_zero(), s
+    assert walk_count_column(0, 4)[::2] == (1, 2, 10)
+    # The grower's seeds are these closed forms.
+    for d in (0, 1, 2, 7, 40, 394):
+        counts = []
+        grow_walk_counts(counts, d, 2 * d + 4)
+        assert counts[2 * d :: 2] == [1, 2 * (2 * d + 1), 9 * d * d + 18 * d + 10]
 
 
 def test_leading_polynomial_is_positive_from_the_geodesic():
-    # p_3(d + s, d) as a polynomial in s and d: every coefficient positive,
-    # the constant term included, so p_3(m, d) > 0 for every m >= d >= 0.
-    # The README's factored form of p_3 is the table's.
-    factored = ((M + 3) ** 2 - D * D) ** 2 * (
-        (M + 2) ** 3 + D * D * (M + 2) * (6 * M + 5) + 2 * D**4 * (2 * M + 1)
-    )
-    assert (factored - p(3, M, D)).is_zero()
+    # p_3(d + s, d) = (s + 3)^2 (2d + s + 3)^2 c(d + s, d) as a polynomial
+    # in s and d: every coefficient positive, the constant term included, so
+    # p_3(m, d) > 0 for every m >= d >= 0.
     shifted = p(3, D + I, D)  # I stands for s
+    assert (shifted - (I + 3) ** 2 * (2 * D + I + 3) ** 2 * c_factor(D + I, D)).is_zero()
     assert shifted.terms[(0, 0, 0)] > 0
     assert all(c > 0 for c in shifted.terms.values())
 
 
 def test_recurrence_table_shape():
-    # Degree 7 in m and 8 in d, 95 nonzero coefficients of at most 17 bits.
+    # c, q_1 and q_2: 4 + 6 + 7 rows (degree 3, 5 and 6 in m), at most 4
+    # columns (degree 6 in d), 47 nonzero coefficients of at most 12 bits.
     coefficients = [c for row in _RECURRENCE for c in row]
-    assert len(_RECURRENCE) == 4 * 8
-    assert max(len(row) for row in _RECURRENCE) == 5
-    assert sum(1 for c in coefficients if c) == 95
-    assert max(abs(c).bit_length() for c in coefficients) == 17
+    assert len(_RECURRENCE) == 17
+    assert max(len(row) for row in _RECURRENCE) == 4
+    assert sum(1 for c in coefficients if c) == 47
+    assert max(abs(c).bit_length() for c in coefficients) == 12
+    # The README's factors are the table's.
+    c = (M + 2) ** 3 + D * D * (M + 2) * (6 * M + 5) + 2 * D**4 * (2 * M + 1)
+    q1 = (
+        4 * D**6 * (2 * M + 1)
+        - 2 * D**4 * (10 * M**3 + 45 * M**2 + 61 * M + 23)
+        - D * D * (30 * M**4 + 239 * M**3 + 685 * M**2 + 827 * M + 338)
+        - (M + 3) ** 2 * (5 * M**3 + 29 * M**2 + 53 * M + 32)
+    )
+    q2 = (
+        2 * D**6 * (8 * M**2 + 28 * M + 13)
+        - 2 * D**4 * (8 * M**4 + 56 * M**3 + 132 * M**2 + 113 * M + 16)
+        - D * D * (24 * M**5 + 262 * M**4 + 1112 * M**3 + 2267 * M**2 + 2170 * M + 742)
+        - (M + 2) ** 2 * (M + 3) ** 2 * (4 * M**2 + 18 * M + 19)
+    )
+    assert (c - c_factor(M, D)).is_zero()
+    assert (q1 - factor(_RECURRENCE[4:10], M, D)).is_zero()
+    assert (q2 - factor(_RECURRENCE[10:], M, D)).is_zero()
 
 
 @given(d=st.integers(0, 60), n=st.integers(0, 300))
@@ -325,8 +406,17 @@ def test_grower_validation():
         grow_walk_counts([], -1, 4)
     with pytest.raises(ValueError):
         grow_walk_counts([], 0, -1)
-    with pytest.raises(ValueError):
-        hypergeometric_count(-1, 0)
+
+
+def test_grower_equals_the_oracle_in_the_far_window():
+    # The far window (d = 90..394) reads columns past the hypothesis tests'
+    # d <= 200 and the slow gate's d <= 60, to lengths of about 1000.
+    for d in (100, 255, 394):
+        counts = []
+        grow_walk_counts(counts, d, 1200)
+        oracle = []
+        extend_walk_counts(oracle, [], d, 1200)
+        assert counts == oracle, d
 
 
 @pytest.mark.slow

@@ -130,6 +130,13 @@ def test_arrival_time_validation(evaluator):
             arrival_time(3, epsilon, evaluator)
         with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
             geodesic_bracket_time(3, epsilon, HALF)
+    # epsilon / (2 |P| |Q|) underflows to 0 or overflows to inf.
+    with pytest.raises(ValueError, match="epsilon / .* got epsilon = 5e-324"):
+        arrival_time(3, 5e-324, evaluator)
+    for epsilon, couplings in ((5e-324, HALF), (1e300, HALF._replace(origin_norm=1e-300))):
+        with pytest.raises(ValueError, match="epsilon / ") as refused:
+            geodesic_bracket_time(3, epsilon, couplings)
+        assert f"got epsilon = {epsilon} over {couplings.prefactor}" in str(refused.value)
 
 
 _ORACLE_COUPLINGS = (HALF, Couplings(g=1.3, J=0.4, origin_norm=2.5, probe_norm=0.3, step_factor=1.0))
