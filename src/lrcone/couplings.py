@@ -83,5 +83,11 @@ class Couplings(_CouplingsFields):
 
     @property
     def prefactor(self) -> float:
-        """Overall factor 2 |P| |Q| multiplying the series."""
-        return 2.0 * self.origin_norm * self.probe_norm
+        """Overall factor 2 |P| |Q| multiplying the series.
+
+        Doubling the smaller norm is exact, so this is 2 |P| |Q| rounded once:
+        finite wherever that float is, and equal to (2 |P|) |Q| wherever the
+        latter does not overflow on the way.
+        """
+        a, b = self.origin_norm, self.probe_norm
+        return 2.0 * min(a, b) * max(a, b)

@@ -38,7 +38,11 @@ the terms.  The loop and best_tail_bound compute the tail by one expression,
 for bit.  The value is 2 |P| |Q| times math.fsum of the terms through
 n_truncate, so every result equals bit for bit the term-by-term loop's from
 n = 0, with an fsum and a tail certificate at every n (kept as
-`tests/reference.scalar_evaluate_bound`).
+`tests/reference.scalar_evaluate_bound`).  Each result's log_slope,
+d log B / d log t of the truncated sum, is a running sum of n term_n over
+one of term_n (math.fsum of n (term_n / partial) where either passes _HUGE),
+as precise as the terms, and 0.0 where every term is 0 (t = 0 with d > 0,
+or all terms underflowing).  Every a_n >= 0, so log B is convex in log t.
 """
 
 from __future__ import annotations
@@ -206,13 +210,15 @@ class DpCountSource:
 
 
 class BoundSeriesResult(NamedTuple):
-    """One evaluation of B(t, d) with its truncation certificate."""
+    """One evaluation of B(t, d), its truncation certificate and its
+    log_slope, sum n term_n / sum term_n (module docstring)."""
 
     t: float
     d: int
     value: float
     n_truncate: int
     tail: float
+    log_slope: float
 
 
 def evaluate_bound(
@@ -256,60 +262,70 @@ def evaluate_bound(
     log_step_t = math.log(step_t) if t > 0.0 else -math.inf  # unused at t = 0
     log_gj = math.log(couplings.g * couplings.J)
     terms: list[float] = []  # the nonzero-count terms; the zeros add nothing to a sum
-    running = 0.0
+    # Locals, bound per call (a test patches _tail).
+    neg_inf, exp, fsum, tail_of = -math.inf, math.exp, math.fsum, _tail
+    tiny, huge, below, above = _TINY, _HUGE, 1.0 - _MARGIN, 1.0 + _MARGIN
+    consecutive, append = CONSECUTIVE_SMALL, terms.append
+    running = weighted = 0.0  # sums of term_n and of n term_n
     # Skip the zero terms below 2 d (module docstring); a refusal still names n = 0.
     start = streak = 0
     if t > 0.0 and d > 0:
-        if _tail(2 * d - 1, x, log_x, log_tail_base, math.lgamma(2 * d + 1)) > 0.0:
+        if tail_of(2 * d - 1, x, log_x, log_tail_base, math.lgamma(2 * d + 1)) > 0.0:
             start = streak = 2 * d
     while True:
         n = max(n, start)
         log_counts, log_factorial = source.log_column(n, d)
         for n in range(n, len(log_counts)):
             term = 0.0
-            if log_counts[n] != -math.inf:
+            log_count = log_counts[n]
+            if log_count != neg_inf:
                 if t == 0.0:
                     term = 1.0 if n == 0 else 0.0
                 else:
-                    log_term = n * log_step_t + log_counts[n] + 0.5 * n * log_gj - log_factorial[n]
+                    log_term = n * log_step_t + log_count + 0.5 * n * log_gj - log_factorial[n]
                     try:
-                        term = math.exp(log_term)
+                        term = exp(log_term)
                     except OverflowError:
                         raise _float_range_error(t, d, n) from None
-                terms.append(term)
+                append(term)
                 running += term
+                weighted += n * term
             # Streak test, term <= rel_tol * partial sum.
             if term != 0.0:
                 scaled = rel_tol * running
                 if (
-                    _TINY <= scaled <= _HUGE
-                    and running <= _HUGE
-                    and not scaled * (1.0 - _MARGIN) < term <= scaled * (1.0 + _MARGIN)
+                    tiny <= scaled <= huge
+                    and running <= huge
+                    and not scaled * below < term <= scaled * above
                 ):
                     small = term <= scaled
                 else:
                     try:
-                        small = term <= rel_tol * math.fsum(terms)
+                        small = term <= rel_tol * fsum(terms)
                     except OverflowError:
                         raise _float_range_error(t, d, n) from None
                 if not small:
                     streak = 0
                     continue
             streak += 1
-            if streak < CONSECUTIVE_SMALL:
+            if streak < consecutive:
                 continue
             # Tail test, tail <= rel_tol * prefactor * partial sum; a tail
             # clear of the running bound fails, any other is tried exactly.
-            tail = _tail(n, x, log_x, log_tail_base, log_factorial[n + 1])
+            tail = tail_of(n, x, log_x, log_tail_base, log_factorial[n + 1])
             bound = rel_bound * running
-            if bound <= _HUGE and tail > max(bound, _TINY) * (1.0 + _MARGIN):
+            if bound <= huge and tail > max(bound, tiny) * above:
                 continue
-            partial = math.fsum(terms)
+            partial = fsum(terms)
             if tail <= rel_bound * partial:
                 value = prefactor * partial
                 if not math.isfinite(value):
                     raise _float_range_error(t, d, n)
-                return BoundSeriesResult(t=t, d=d, value=value, n_truncate=n, tail=tail)
+                slope = weighted / running if running > 0.0 else 0.0
+                if weighted > huge or running > huge:  # rescaled, so nothing overflows
+                    ns = range(2 * d, n + 1, 2)  # terms[i] is the term at n = 2 d + 2 i
+                    slope = fsum([m * (term / partial) for m, term in zip(ns, terms)])
+                return BoundSeriesResult(t, d, value, n, tail, slope)
         n = len(log_counts)
         _ensure(source, n, t, d, rel_tol)
 

@@ -6,11 +6,14 @@ minimising exp(kappa) / kappa (optimum kappa = 1, value e) yields the
 certified velocity step * e * sqrt(2 g J).
 
 Numeric route: for each separation d, find the arrival time t*(d) where
-B(t, d) first reaches a threshold epsilon (the answer a plain bisection
-gives, reached by a secant and a replay of that bisection), then fit the
-front d = velocity * t* + offset by least squares.  Optionally a profile of
-bound values at one time, log B = log A + (velocity * t - d) / decay_length,
-gives the decay length and amplitude of the envelope at the fitted velocity.
+B(t, d) first reaches a threshold epsilon, then fit the front
+d = velocity * t* + offset by least squares.  t* is a plain bisection's
+answer, found in few evaluations: log B is convex in log t, so Newton's
+tangents in (log t, log B) close in on the threshold from above, and a
+replay of the bisection's arithmetic over that narrow bracket gives its t*
+bit for bit.  A profile of bound values at one time, log B = log A +
+(velocity * t - d) / decay_length, optionally gives the envelope's decay
+length and amplitude at the fitted velocity.
 Every fit is exact: slope, intercept, r^2 and the mean squared residual are
 the least-squares values of the float inputs, each rounded once.
 """
@@ -95,12 +98,12 @@ def geodesic_bracket_time(d: int, epsilon: float, couplings: Couplings) -> float
 TIME_REL_TOL = 1e-10
 MAX_EXPANSIONS = 80
 
-# The secant stops once evaluated times a < b bracket the threshold with
-# b / a - 1 <= _BRACKET_REL; the replayed bisection then evaluates only the
-# midpoints within _REPLAY_MARGIN (relative) of [a, b].
+# The Newton search stops once evaluated times a < b bracket the threshold
+# with b / a - 1 <= _BRACKET_REL; the replayed bisection then evaluates only
+# the midpoints within _REPLAY_MARGIN (relative) of [a, b].
 _BRACKET_REL = 1e-13
 _REPLAY_MARGIN = 1e-12
-_MAX_SECANT_STEPS = 60
+_MAX_NEWTON_STEPS = 60
 
 
 def arrival_time(d: int, epsilon: float, evaluator: BoundEvaluator) -> ArrivalTime:
@@ -112,34 +115,33 @@ def arrival_time(d: int, epsilon: float, evaluator: BoundEvaluator) -> ArrivalTi
     bracket is narrower than TIME_REL_TOL * t_hi and report its midpoint and
     the bound there.
 
-    It is reached with few evaluations in two steps.  A safeguarded secant
-    in (log t, log B), using only the evaluated values, first finds two
-    evaluated times a < b with B(a) < epsilon <= B(b) and
-    b / a - 1 <= 1e-13.  The bisection is then replayed with its own
-    arithmetic: a midpoint >= b (1 + 1e-12) goes high, one <= a (1 - 1e-12)
-    goes low, and only a midpoint between the two is evaluated.  The replay
-    is exact because the evaluated B is nondecreasing in t: in exact
-    arithmetic term_n / partial_n and tail_n / partial_n both rise with t,
-    so n_truncate never falls as t grows, and the 1e-12 margin is about a
-    hundred times the rounding noise of an evaluation.  `evaluations` is
-    the evaluator's count of the evaluate calls made here, the final one at
-    the reported time included.  geodesic_bracket_time checks d and epsilon
-    before the first.
+    It is reached with few evaluations in two steps.  Newton's method in
+    (log t, log B) first finds evaluated times a < b with
+    B(a) < epsilon <= B(b) and b / a - 1 <= 1e-13 (_newton_bracket).  The
+    bisection is then replayed with its own arithmetic: a midpoint
+    >= b (1 + 1e-12) goes high, one <= a (1 - 1e-12) goes low, and only one
+    between the two is evaluated.  The search picks which points are
+    evaluated; the replay alone defines t*, and it is exact because the
+    evaluated B is nondecreasing in t: in exact arithmetic term_n / partial_n
+    and tail_n / partial_n both rise with t, so n_truncate never falls as t
+    grows, and the 1e-12 margin is about a hundred times the rounding noise
+    of an evaluation.  `evaluations` counts the evaluate calls made here,
+    the final one included; geodesic_bracket_time checks d and epsilon first.
     """
     t_hi = geodesic_bracket_time(d, epsilon, evaluator.couplings)
     start = evaluator.evaluations
-    value_hi = evaluator.evaluate(t_hi, d).value
+    hi = evaluator.evaluate(t_hi, d)
     expansions = 0
-    while value_hi < epsilon:
+    while hi.value < epsilon:
         expansions += 1
         if expansions > MAX_EXPANSIONS:
             raise ThresholdUnreachableError(
                 f"no time with B(t, {d}) >= {epsilon} found up to t = {t_hi}"
             )
         t_hi *= 1.5
-        value_hi = evaluator.evaluate(t_hi, d).value
+        hi = evaluator.evaluate(t_hi, d)
 
-    a, b = _secant_bracket(d, epsilon, evaluator, t_hi, value_hi)
+    a, b = _newton_bracket(d, epsilon, evaluator, hi)
 
     t_lo = 0.0
     while t_hi - t_lo > TIME_REL_TOL * t_hi:
@@ -155,59 +157,41 @@ def arrival_time(d: int, epsilon: float, evaluator: BoundEvaluator) -> ArrivalTi
         else:
             t_lo = mid
     t_star = 0.5 * (t_lo + t_hi)
-    final = evaluator.evaluate(t_star, d)
-    return ArrivalTime(
-        d=d,
-        time=t_star,
-        bound_value=final.value,
-        evaluations=evaluator.evaluations - start,
-    )
+    value = evaluator.evaluate(t_star, d).value
+    return ArrivalTime(d, t_star, value, evaluator.evaluations - start)
 
 
-def _secant_bracket(
-    d: int, epsilon: float, evaluator: BoundEvaluator, t_hi: float, value_hi: float
-) -> tuple[float, float]:
-    """Evaluated times a < b with B(a) < epsilon <= B(b).
+def _newton_bracket(d: int, epsilon: float, evaluator: BoundEvaluator, hi) -> tuple[float, float]:
+    """Evaluated times a < b with B(a) < epsilon <= B(b), from b = hi.t.
 
-    Regula falsi on f = log B - log epsilon over log t, with the Illinois
-    halving of a retained end's f so that both ends close in; a step lands
-    at least 0.4 * 1e-13 (relative) inside the bracket, so it overshoots the
-    threshold once the estimate sits that close to an end.  Until a time
-    with 0 < B < epsilon is known, the step is the power law from b:
-    B(t) / t^(2 d) rises with t (every term has n >= 2 d), so
-    t = b (epsilon / B(b))^(1 / 2d) has B <= epsilon in exact arithmetic.
-    Stops at b / a - 1 <= 1e-13, or after _MAX_SECANT_STEPS with a wider
-    bracket, which the replay then narrows by evaluating.
+    Newton's method on f = log B - log epsilon over log t, stepping from b
+    with the slope its evaluation reports (log_slope).  B sums nonnegative
+    multiples of powers of t, so f is convex (Hoelder), and the iterates
+    stay above the root and converge to it quadratically.  A step is clamped
+    at least 0.4 * 1e-13 (relative) inside (a, b), else taken at the
+    midpoint, so once the tangent's root sits that close to b the step falls
+    below the threshold.  Where b's slope is not positive the step takes the
+    larger of two slopes that convexity puts below f' at b, the chord's from
+    a (where 0 < B(a)) and the power law's, 2 d, as every term has n >= 2 d;
+    it stays below the root in exact arithmetic.  Stops at
+    b / a - 1 <= 1e-13, or after _MAX_NEWTON_STEPS with a wider bracket,
+    which the replay then narrows by evaluating.
     """
-    log_eps = math.log(epsilon)
-    a, f_a = 0.0, -math.inf
-    b, f_b = t_hi, math.log(value_hi) - log_eps
-    retained = 0  # +1 when b was kept on the last step, -1 when a was
-    steps = 0
-    while not (a > 0.0 and b / a - 1.0 <= _BRACKET_REL) and steps < _MAX_SECANT_STEPS:
-        if f_a == -math.inf:
-            t = b * math.exp(-f_b / (2 * d))
-        elif f_b > f_a:
-            log_a, log_b = math.log(a), math.log(b)
-            t = math.exp(log_b - f_b * (log_b - log_a) / (f_b - f_a))
-        else:  # log B rounded flat across the bracket
-            t = math.sqrt(a * b)
-        inset = 0.4 * _BRACKET_REL
+    log_eps, inset = math.log(epsilon), 0.4 * _BRACKET_REL
+    a, f_a, b, steps = 0.0, -math.inf, hi.t, 0
+    f_b, slope = math.log(hi.value) - log_eps, hi.log_slope
+    while not (a > 0.0 and b / a - 1.0 <= _BRACKET_REL) and steps < _MAX_NEWTON_STEPS:
+        chord = (f_b - f_a) / math.log(b / a) if f_a > -math.inf else 0.0
+        t = b * math.exp(-f_b / (slope if slope > 0.0 else max(chord, 2 * d)))
         t = min(max(t, a * (1.0 + inset)), b * (1.0 - inset))
         if not a < t < b:
             t = 0.5 * (a + b)
-        value = evaluator.evaluate(t, d).value
+        result = evaluator.evaluate(t, d)
         steps += 1
-        if value >= epsilon:
-            b, f_b = t, math.log(value) - log_eps
-            if retained == -1:
-                f_a *= 0.5
-            retained = -1
+        if result.value >= epsilon:
+            b, f_b, slope = t, math.log(result.value) - log_eps, result.log_slope
         else:
-            a, f_a = t, (math.log(value) - log_eps if value > 0.0 else -math.inf)
-            if retained == 1:
-                f_b *= 0.5
-            retained = 1
+            a, f_a = t, math.log(result.value) - log_eps if result.value > 0.0 else -math.inf
     return a, b
 
 
@@ -374,10 +358,10 @@ def extract_velocity(
     arrivals = tuple(arrival_time(d, epsilon, evaluator) for d in d_values)
     profile = None
     if include_profile:
-        t_ref = arrivals[-1].time
-        profile = [
-            (t_ref, d, evaluator.evaluate(t_ref, d).value) for d in d_values
-        ]
+        # The last arrival's final evaluation is the profile's last sample.
+        last = arrivals[-1]
+        profile = [(last.time, d, evaluator.evaluate(last.time, d).value) for d in d_values[:-1]]
+        profile.append((last.time, last.d, last.bound_value))
     fit = fit_lightcone(arrivals=arrivals, profile=profile, prefactor=couplings.prefactor)
 
     half = len(arrivals) // 2

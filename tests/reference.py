@@ -9,6 +9,9 @@ the term
 is rational whenever t, g, J and step^2 are.  No logs, no floats, no shared
 summation code with the implementation under test.
 
+`exact_log_slope` is that series' d log B / d log t, sum n a_n t^n over
+sum a_n t^n, in integer arithmetic.
+
 `saddle_velocity` predicts where that series' front lies from the symbol of
 the two-step transfer matrix alone, in plain `math` floats; it takes no
 counts, no series and no code from the implementation under test.
@@ -24,8 +27,9 @@ antiderivative, so it shares nothing with the closed form under test.
 `scalar_evaluate_bound` and `bisect_arrival_time` are the series loop from
 n = 0 with an fsum and a tail certificate at every term, and the plain
 arrival bisection, that `lrcone` used before its O(1)-per-term loop and its
-secant replay.  They share best_tail_bound and the count source with the
-code under test, and must give its results bit for bit.
+Newton search with a replayed bisection.  They share best_tail_bound and
+the count source with the code under test, and must give its results bit
+for bit.
 
 Helpers that `lrcone` once shipped and only tests reached:
 
@@ -74,6 +78,30 @@ def exact_bound_series(
         if c:
             total += c * q**m / factorial(2 * m)
     return 2 * origin_norm * probe_norm * total
+
+
+def exact_log_slope(t: float, d: int, couplings, counts, n_terms: int) -> Fraction:
+    """sum n a_n t^n / sum a_n t^n through walk length n_terms, exactly.
+
+    d log B / d log t of the truncated series at the float inputs, with
+    step^2 the square of the float step_factor.  Only even lengths n = 2 m
+    contribute, and each term c q^m / (2m)!, q = step^2 t^2 g J = p / r, is
+    scaled by r^M (2M)! to an integer and summed by Horner's rule in p, so no
+    rational is reduced per term.
+    """
+    q = Fraction(couplings.step_factor) ** 2 * Fraction(t) ** 2
+    q *= Fraction(couplings.g) * Fraction(couplings.J)
+    p, r = q.numerator, q.denominator
+    weighted = total = 0
+    scale = 1  # r^(M - m) (2M)! / (2m)!, from m = M down
+    for m in range(n_terms // 2, -1, -1):
+        c = counts(2 * m, d) * scale
+        total = total * p + c
+        weighted = weighted * p + 2 * m * c
+        scale *= r * (2 * m) * (2 * m - 1)
+    if total == 0:
+        raise ValueError("every term is 0")
+    return Fraction(weighted, total)
 
 
 def saddle_velocity(
@@ -209,6 +237,9 @@ def scalar_evaluate_bound(t, d, couplings, *, source=None, rel_tol=1e-10):
     Bit for bit: one log-term, one math.exp and one math.fsum of the growing
     term list per walk length from n = 0, and a tail certificate at every n
     past the streak; `evaluate_bound` skips the zero terms below 2 d instead.
+    log_slope is the running sum of n term_n over that of term_n, 0.0 where
+    every term is 0, and math.fsum of n (term_n / partial) where either sum
+    passes 1e300.
     """
     from lrcone.lrbound import (
         CONSECUTIVE_SMALL,
@@ -228,6 +259,7 @@ def scalar_evaluate_bound(t, d, couplings, *, source=None, rel_tol=1e-10):
         source = DpCountSource()
 
     terms: list[float] = []
+    running = weighted = 0.0  # running sums of term_n and n term_n, for log_slope
     streak = 0
     for n in itertools.count():
         try:
@@ -244,6 +276,8 @@ def scalar_evaluate_bound(t, d, couplings, *, source=None, rel_tol=1e-10):
             partial = math.fsum(terms)
         except OverflowError:
             break
+        running += term
+        weighted += n * term
         streak = streak + 1 if term <= rel_tol * partial else 0
         if streak >= CONSECUTIVE_SMALL:
             # tail_bound carries the full 4 |P| |Q| prefactor, so compare it
@@ -253,7 +287,15 @@ def scalar_evaluate_bound(t, d, couplings, *, source=None, rel_tol=1e-10):
                 value = couplings.prefactor * partial
                 if not math.isfinite(value):
                     break
-                return BoundSeriesResult(t=t, d=d, value=value, n_truncate=n, tail=tail)
+                # terms[n] is the term at n; the zero terms change no sum.
+                slope = 0.0
+                if weighted > 1e300 or running > 1e300:
+                    slope = math.fsum([m * (term / partial) for m, term in enumerate(terms)])
+                elif running > 0.0:
+                    slope = weighted / running
+                return BoundSeriesResult(
+                    t=t, d=d, value=value, n_truncate=n, tail=tail, log_slope=slope
+                )
     raise ConvergenceError(
         f"series for t = {t}, d = {d} exceeds the float range "
         f"(max {sys.float_info.max:.6g}) at n = {n}"

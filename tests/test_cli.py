@@ -332,11 +332,12 @@ def test_velocity_report_matches_library(tmp_path):
         evaluator=ref_evaluator,
         include_profile=True,
     )
-    # The sidecar counts every evaluate call: the arrivals' and the profile's.
+    # The sidecar counts every evaluate call: the arrivals' and the profile's,
+    # whose last sample reuses the last arrival's final evaluation.
     meta = json.loads((tmp_path / "vel.json.meta.json").read_text())
     assert meta["output"] == str(out)
     assert meta["evaluations"] == ref_evaluator.evaluations
-    assert meta["evaluations"] == sum(a.evaluations for a in ref.arrivals) + 4
+    assert meta["evaluations"] == sum(a.evaluations for a in ref.arrivals) + 3
     assert set(doc) == {
         "schema_version", "config", "arrivals", "arrival_bounds", "fit", "cone",
         "ratio_v_over_c", "subwindow_slopes",

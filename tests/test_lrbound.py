@@ -10,6 +10,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,7 @@ from lrcone.pathcount import axis_walk_counts, count_walks_closed_form
 
 from reference import (
     exact_bound_series,
+    exact_log_slope,
     log_series_term,
     scalar_evaluate_bound,
     tail_bound,
@@ -110,6 +112,38 @@ def test_couplings_refuse_a_norm_product_outside_float_range(origin_norm, probe_
     with pytest.raises(ValueError) as replaced:
         HALF._replace(origin_norm=origin_norm, probe_norm=probe_norm)
     assert str(replaced.value) == str(built.value)
+
+
+def test_couplings_accept_a_norm_product_whose_doubled_norm_overflows():
+    # (2 |P|) |Q| overflows although 2 |P| |Q| = 2e8: the smaller norm is doubled.
+    couplings = Couplings(g=0.5, J=0.5, origin_norm=1e308, probe_norm=1e-300)
+    assert couplings.prefactor == 2e-300 * 1e308
+    assert couplings._replace(origin_norm=1e-300, probe_norm=1e308).prefactor == 2e8
+
+
+_NORM = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+@given(origin_norm=_NORM, probe_norm=_NORM)
+@example(origin_norm=1e308, probe_norm=1e-300)
+@example(origin_norm=5e-324, probe_norm=sys.float_info.max)
+@settings(max_examples=500, deadline=None)
+def test_prefactor_is_the_norm_product_rounded_once(origin_norm, probe_norm):
+    # Doubling a float is exact, so the prefactor is 2 |P| |Q| rounded once,
+    # the same float as (2 |P|) |Q| wherever that does not overflow on the
+    # way.  The property reads the formula over every pair of norms, also
+    # those Couplings refuses.
+    prefactor = Couplings.prefactor.fget(
+        SimpleNamespace(origin_norm=origin_norm, probe_norm=probe_norm)
+    )
+    exact = 2 * Fraction(origin_norm) * Fraction(probe_norm)
+    if exact <= sys.float_info.max:
+        assert prefactor == float(exact)
+    else:
+        assert prefactor == math.inf
+    left_to_right = (2.0 * origin_norm) * probe_norm
+    if math.isfinite(left_to_right):
+        assert prefactor == left_to_right
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +521,62 @@ def test_bound_is_at_least_the_geodesic_term(t_64ths, d):
 
 
 # ---------------------------------------------------------------------------
+# log_slope, d log B / d log t of the truncated series.
+# ---------------------------------------------------------------------------
+
+_SLOPE_SOURCE = DpCountSource()
+
+
+@given(
+    t=st.integers(min_value=1, max_value=400 * 64).map(lambda k: k / 64),
+    d=st.integers(min_value=0, max_value=300),
+    couplings=st.sampled_from(
+        (HALF, Couplings(g=1.3, J=0.4, origin_norm=2.5, probe_norm=0.3, step_factor=1.0))
+    ),
+)
+@example(t=345.0, d=2, couplings=HALF)  # both running sums below 1e300
+@example(t=348.0, d=2, couplings=HALF)  # the sum of n term_n past 1e300: rescaled
+@example(t=350.0, d=2, couplings=HALF)  # both sums past 1e300
+@example(t=1 / 64, d=45, couplings=HALF)  # a subnormal partial sum
+@example(t=165 / 64, d=100, couplings=HALF)  # 4e-323: slope 200.0, exactly 200.07
+@settings(max_examples=60, deadline=None)
+def test_log_slope_matches_exact_series(t, d, couplings):
+    try:
+        result = evaluate_bound(t, d, couplings, source=_SLOPE_SOURCE)
+    except ConvergenceError:
+        return
+    if result.value == 0.0:  # every term is 0 (both prefactors exceed 1)
+        assert result.log_slope == 0.0
+        return
+    exact = exact_log_slope(t, d, couplings, _SLOPE_SOURCE.count, result.n_truncate)
+    if result.value / couplings.prefactor >= sys.float_info.min:
+        assert abs(Fraction(result.log_slope) / exact - 1) <= Fraction(1, 10**12)
+    else:
+        # Subnormal terms keep fewer bits: the slope is still a mean of the
+        # lengths summed.
+        assert 2 * d * (1 - 1e-15) <= result.log_slope <= result.n_truncate
+
+
+def test_log_slope_where_every_term_is_zero(shared_source):
+    # Where B = 0, log B has no slope and log_slope reads 0.0: at t = 0 with
+    # d > 0, and where every term underflows.  At t = 0, d = 0, B is the
+    # constant prefactor, whose slope is 0.0 too.
+    for t, d in ((0.0, 0), (0.0, 1), (0.0, 7), (1e-300, 0), (1e-300, 3)):
+        result = evaluate_bound(t, d, HALF, source=shared_source)
+        assert result.log_slope == 0.0
+        assert (result.value == 0.0) == (d > 0)
+
+
+def test_log_slope_takes_the_expected_branches():
+    # At 345 both running sums are below 1e300; at 348 the sum of n term_n
+    # passes it, and at 350 both do, so the slope is rescaled.
+    for t, past in ((345.0, (False, False)), (348.0, (True, False)), (350.0, (True, True))):
+        result = evaluate_bound(t, 2, HALF)
+        partial = result.value / HALF.prefactor
+        assert (partial * result.log_slope > 1e300, partial > 1e300) == past
+
+
+# ---------------------------------------------------------------------------
 # evaluate_bound against the term-by-term loop it replaced.
 # ---------------------------------------------------------------------------
 
@@ -517,6 +607,9 @@ def _assert_matches_scalar_loop(t, d, couplings, rel_tol, source, scalar_source)
         (1e-12, 12, 1e-10),  # a subnormal value, 7.9e-316 at g = J = 1/2
         (400.0, 100, 1e-10),  # a term leaves the float range: ConvergenceError, not OverflowError
         (400.0, 2, 1e-10),
+        # The sums of n term_n and of term_n pass 1e300: log_slope is rescaled.
+        (348.0, 2, 1e-10),
+        (350.0, 2, 1e-10),
         (0.0, 0, 1e-10),
         (1e-300, 0, 1e-10),
         # rel_tol * partial sum below the normal range: the streak test is

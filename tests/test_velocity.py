@@ -150,14 +150,72 @@ _ORACLE_EVALUATORS = [BoundEvaluator(c, source=DpCountSource(n_max=128)) for c i
 )
 @settings(max_examples=60, deadline=None)
 def test_arrival_time_replays_plain_bisection(d, log10_eps, which):
-    # The secant and the replayed bisection give the plain bisection's time
-    # and bound value bit for bit, with fewer evaluations.
+    # The Newton search and the replayed bisection give the plain
+    # bisection's time and bound value bit for bit, with fewer evaluations.
     evaluator = _ORACLE_EVALUATORS[which]
     epsilon = 10.0**log10_eps
     arrival = arrival_time(d, epsilon, evaluator)
     time, value, bisect_evaluations = bisect_arrival_time(d, epsilon, evaluator)
     assert (arrival.time, arrival.bound_value) == (time, value)
     assert arrival.evaluations < bisect_evaluations
+
+
+@pytest.mark.parametrize("d", [90, 200, 394])
+def test_arrival_time_replays_plain_bisection_far_out(d):
+    # The far window's distances, whose series run longest.
+    evaluator = _ORACLE_EVALUATORS[0]
+    arrival = arrival_time(d, 1e-8, evaluator)
+    time, value, bisect_evaluations = bisect_arrival_time(d, 1e-8, evaluator)
+    assert (arrival.time, arrival.bound_value) == (time, value)
+    assert arrival.evaluations <= 8 < bisect_evaluations
+
+
+class _PatchedEvaluator(BoundEvaluator):
+    """Results with log_slope 0.0 (no_slope), and value 0.0 wherever B is
+    below zero_below; either keeps the order of B against the threshold."""
+
+    def __init__(self, *, no_slope=False, zero_below=0.0):
+        super().__init__(HALF, source=_ORACLE_EVALUATORS[0].source)
+        self.no_slope, self.zero_below = no_slope, zero_below
+
+    def evaluate(self, t, d):
+        result = super().evaluate(t, d)
+        if self.no_slope:
+            result = result._replace(log_slope=0.0)
+        if result.value < self.zero_below:
+            result = result._replace(value=0.0)
+        return result
+
+
+@pytest.mark.parametrize("d", [3, 10, 40, 90])
+def test_arrival_time_without_a_positive_slope(d):
+    # The steps fall back on the chord from a and the power law 2 d, both
+    # below f' at b, and the bisection's answer still comes out.
+    evaluator = _PatchedEvaluator(no_slope=True)
+    arrival = arrival_time(d, 1e-8, evaluator)
+    time, value, bisect_evaluations = bisect_arrival_time(d, 1e-8, evaluator)
+    assert (arrival.time, arrival.bound_value) == (time, value)
+    assert arrival.evaluations < bisect_evaluations
+
+
+@pytest.mark.parametrize("d", [3, 10, 40, 90])
+def test_arrival_time_with_zero_bound_below_the_threshold(d):
+    # An iterate with B = 0 is a lower end like any other: Newton steps from
+    # b alone, so the same points are evaluated.
+    plain = arrival_time(d, 1e-8, BoundEvaluator(HALF, source=_ORACLE_EVALUATORS[0].source))
+    evaluator = _PatchedEvaluator(zero_below=1e-8)
+    arrival = arrival_time(d, 1e-8, evaluator)
+    assert (arrival.time, arrival.evaluations) == (plain.time, plain.evaluations)
+    assert bisect_arrival_time(d, 1e-8, evaluator)[:2] == (arrival.time, arrival.bound_value)
+
+
+@pytest.mark.parametrize("d", [3, 10, 40])
+def test_arrival_time_with_zero_bound_and_no_slope(d):
+    # No positive value below the threshold and no slope leave the power law
+    # from b; the step cap and the replay still give the bisection's answer.
+    evaluator = _PatchedEvaluator(no_slope=True, zero_below=1e-8)
+    arrival = arrival_time(d, 1e-8, evaluator)
+    assert bisect_arrival_time(d, 1e-8, evaluator)[:2] == (arrival.time, arrival.bound_value)
 
 
 @pytest.mark.parametrize("d", [1, 3, 10, 25])
