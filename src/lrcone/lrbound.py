@@ -22,14 +22,15 @@ tail at the single kappa TAIL_KAPPA and stops once five consecutive terms
 and that tail are both below rel_tol times the running partial sum; the
 count source's hard_n_limit is its only work budget.
 
-The series loop starts at the geodesic length 2 d.  Below it every term is 0
-and only adds to the five-term streak, and a tail check passes only on a
-tail of 0.0; the tail falls with n, so one tail at 2 d - 1 stands for all
-those checks, and only where it is 0.0 does the loop run from n = 0.  Each
-length costs O(1) work.  The count source grows each column in place with
-its t-independent pieces, math.log of the counts and math.lgamma(n + 1), so
-a log-term is four float operations in this order, n log(step t) + log
-count + (n/2) log(g J) - lgamma(n + 1), exponentiated with math.exp (np.exp
+Every a_n >= 0 and the first nonzero one is the unique geodesic, at n = 2 d,
+so B(0, d) = 2 |P| |Q| [d = 0] exactly, and B(t, d) > 0 for every t > 0: a
+result for t > 0 is positive, or refused with ConvergenceError where B
+leaves the float range, above or below.  The series loop starts at n = 2 d
+with the zeros below it counted into the five-term streak, and each length
+costs O(1) work.  The count source grows each column in place with its
+t-independent pieces, math.log of the counts and math.lgamma(n + 1), so a
+log-term is four float operations in this order, n log(step t) + log count
++ (n/2) log(g J) - lgamma(n + 1), exponentiated with math.exp (np.exp
 differs from it in the last bit on a few percent of arguments).  The streak
 and tail tests read a running sum of the terms, with a relative margin far
 above its rounding; only a test inside the margin falls back to math.fsum of
@@ -41,8 +42,7 @@ n = 0, with an fsum and a tail certificate at every n (kept as
 `tests/reference.scalar_evaluate_bound`).  Each result's log_slope,
 d log B / d log t of the truncated sum, is a running sum of n term_n over
 one of term_n (math.fsum of n (term_n / partial) where either passes _HUGE),
-as precise as the terms, and 0.0 where every term is 0 (t = 0 with d > 0,
-or all terms underflowing).  Every a_n >= 0, so log B is convex in log t.
+as precise as the terms, and 0.0 at t = 0.  log B is convex in log t.
 """
 
 from __future__ import annotations
@@ -60,14 +60,10 @@ from .pathcount import axis_walk_counts  # noqa: F401
 
 # The kappa-derivative of log tail(N) is (N + 5 - 2 d) + y / (1 - y) with
 # y = x / (N + 2) in (0, 1).  A tail is accepted once it is <= rel_tol times
-# the prefactored partial sum.  Once that sum is positive, N >= 2 d, the tail
-# rises with kappa, and its smallest kappa gives the tightest certificate.
-# Before that the sum is 0 and only a tail that underflows to 0.0 passes (the
-# series then runs from n = 0, not from 2 d): evaluate_bound(1e-5, 40,
-# Couplings(0.5, 0.5)) returns value 0.0 and tail 0.0 at n_truncate 53,
-# which is no upper bound on the positive B.  Any small positive value is
-# valid; every certified tail in the artifacts and regression values is
-# computed at this one.
+# the prefactored partial sum, which is positive only once N >= 2 d; there
+# the tail rises with kappa, and its smallest kappa gives the tightest
+# certificate.  Any small positive value is valid; every certified tail in
+# the artifacts and regression values is computed at this one.
 TAIL_KAPPA = 1e-3
 
 # The five-term streak of small terms that precedes every tail check.
@@ -211,7 +207,8 @@ class DpCountSource:
 
 class BoundSeriesResult(NamedTuple):
     """One evaluation of B(t, d), its truncation certificate and its
-    log_slope, sum n term_n / sum term_n (module docstring)."""
+    log_slope, sum n term_n / sum term_n (module docstring), 0.0 only at
+    t = 0."""
 
     t: float
     d: int
@@ -237,7 +234,7 @@ def evaluate_bound(
     result is the term-by-term loop's from n = 0 bit for bit.
     Raises ConvergenceError once the count source refuses to grow (its
     hard_n_limit), or once a term or the prefactored partial sum leaves the
-    float range.
+    float range, above it or, for t > 0, below it.
     """
     if not (t >= 0 and math.isfinite(t)):
         raise ValueError(f"t must be finite and >= 0, got {t}")
@@ -253,13 +250,17 @@ def evaluate_bound(
     if source is None:
         source = DpCountSource()
     # The work budget sees d before any float arithmetic on it.
-    n = 0
-    _ensure(source, n, t, d, rel_tol)
+    _ensure(source, 0, t, d, rel_tol)
 
     prefactor = couplings.prefactor
+    if t == 0.0:
+        # B(0, d) = 2 |P| |Q| [d = 0] exactly.  The term-by-term loop's
+        # five-term streak of zeros completes at n = 5 after the term 1 at
+        # d = 0, and at n = 4 otherwise, with a tail of 0.0.
+        return BoundSeriesResult(t, d, prefactor if d == 0 else 0.0, 5 if d == 0 else 4, 0.0, 0.0)
     rel_bound = rel_tol * prefactor
     x, log_x, log_tail_base = _tail_pieces(t, d, couplings)
-    log_step_t = math.log(step_t) if t > 0.0 else -math.inf  # unused at t = 0
+    log_step_t = math.log(step_t)
     log_gj = math.log(couplings.g * couplings.J)
     terms: list[float] = []  # the nonzero-count terms; the zeros add nothing to a sum
     # Locals, bound per call (a test patches _tail).
@@ -267,26 +268,19 @@ def evaluate_bound(
     tiny, huge, below, above = _TINY, _HUGE, 1.0 - _MARGIN, 1.0 + _MARGIN
     consecutive, append = CONSECUTIVE_SMALL, terms.append
     running = weighted = 0.0  # sums of term_n and of n term_n
-    # Skip the zero terms below 2 d (module docstring); a refusal still names n = 0.
-    start = streak = 0
-    if t > 0.0 and d > 0:
-        if tail_of(2 * d - 1, x, log_x, log_tail_base, math.lgamma(2 * d + 1)) > 0.0:
-            start = streak = 2 * d
+    # The 2 d zero terms below the geodesic each add to the streak.
+    n = streak = 2 * d
     while True:
-        n = max(n, start)
         log_counts, log_factorial = source.log_column(n, d)
         for n in range(n, len(log_counts)):
             term = 0.0
             log_count = log_counts[n]
             if log_count != neg_inf:
-                if t == 0.0:
-                    term = 1.0 if n == 0 else 0.0
-                else:
-                    log_term = n * log_step_t + log_count + 0.5 * n * log_gj - log_factorial[n]
-                    try:
-                        term = exp(log_term)
-                    except OverflowError:
-                        raise _float_range_error(t, d, n) from None
+                log_term = n * log_step_t + log_count + 0.5 * n * log_gj - log_factorial[n]
+                try:
+                    term = exp(log_term)
+                except OverflowError:
+                    raise _float_range_error(t, d, n) from None
                 append(term)
                 running += term
                 weighted += n * term
@@ -319,9 +313,9 @@ def evaluate_bound(
             partial = fsum(terms)
             if tail <= rel_bound * partial:
                 value = prefactor * partial
-                if not math.isfinite(value):
-                    raise _float_range_error(t, d, n)
-                slope = weighted / running if running > 0.0 else 0.0
+                if not 0.0 < value < math.inf:  # B > 0 for t > 0
+                    raise _float_range_error(t, d, n, below=value == 0.0)
+                slope = weighted / running
                 if weighted > huge or running > huge:  # rescaled, so nothing overflows
                     ns = range(2 * d, n + 1, 2)  # terms[i] is the term at n = 2 d + 2 i
                     slope = fsum([m * (term / partial) for m, term in zip(ns, terms)])
@@ -341,11 +335,12 @@ def _ensure(source, n: int, t: float, d: int, rel_tol: float) -> None:
         ) from None
 
 
-def _float_range_error(t: float, d: int, n: int) -> ConvergenceError:
-    return ConvergenceError(
-        f"series for t = {t}, d = {d} exceeds the float range "
-        f"(max {sys.float_info.max:.6g}) at n = {n}"
-    )
+def _float_range_error(t: float, d: int, n: int, *, below: bool = False) -> ConvergenceError:
+    if below:
+        where = f"is below the float range (min {math.ulp(0.0):.6g})"
+    else:
+        where = f"exceeds the float range (max {sys.float_info.max:.6g})"
+    return ConvergenceError(f"series for t = {t}, d = {d} {where} at n = {n}")
 
 
 class BoundEvaluator:

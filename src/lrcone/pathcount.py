@@ -21,8 +21,10 @@ allowed.  Three count sources exist:
   one folded quadrant of the implicit infinite plane (`axis_walk_counts`).
   It is the independent oracle the columns are tested against, and runs
   only in the tests and the benchmark.
-* the paper's literal binomial expression (`count_walks_closed_form`), kept
-  as written so that its disagreement with the exact counts stays visible.
+* the paper's binomial expression (`count_walks_closed_form`), kept as
+  written so that its disagreement with the exact counts stays visible; only
+  the rows that parity makes zero are skipped, and the literal term-by-term
+  loop is the tests' oracle for it (`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -244,16 +246,6 @@ def axis_walk_counts(n_max: int, d_max: int) -> AxisWalkCounts:
 # ---------------------------------------------------------------------------
 
 
-def _comb_or_zero(m: int, doubled_lower: int) -> int:
-    """C(m, doubled_lower / 2), zero for half-integer or out-of-range lower index."""
-    if doubled_lower % 2:
-        return 0
-    k = doubled_lower // 2
-    if m < 0 or k < 0 or k > m:
-        return 0
-    return math.comb(m, k)
-
-
 # The recurrence sum over k = 0..3 of p_k(m, d) N(2m + 2k, d) = 0, which
 # tests/test_recurrence.py proves for m >= 1 and every d >= 0, and at
 # m = d = 0, stored as the factors its polynomials share:
@@ -343,26 +335,24 @@ def grow_walk_counts(counts: list[int], d: int, n_max: int) -> None:
 
 
 def count_walks_closed_form(n: int, d: int) -> int:
-    """Literal binomial-sum expression for the canonical pair count.
+    """The paper's binomial-sum expression for the canonical pair count.
 
     sum over k = 1 .. ceil((n - d)/2 - 1) of
         C(n-2k, (n-2k-d)/2) * C(n-2k, (n-2k)/2) * C(n, 2k) * 4^(2k)
 
     with every binomial whose lower index is half-integer or out of range read
-    as zero, and an empty summation range read as zero.  Compare against the
-    exact counts before trusting any value.
+    as zero, and an empty summation range read as zero.  m = n - 2k has the
+    parity of n, so at odd n or odd d a lower index is half-integer in every
+    term and the sum is 0; otherwise k <= (n - d - 1) // 2 keeps m >= d + 1,
+    and both lower indices are integers in [0, m].  Compare against the exact
+    counts before trusting any value.
     """
     if n < 0 or d < 0:
         raise ValueError(f"n and d must be >= 0, got n = {n}, d = {d}")
-    k_max = (n - d - 1) // 2  # ceil((n - d)/2 - 1) for integers
+    if n % 2 or d % 2:
+        return 0
     total = 0
-    for k in range(1, k_max + 1):
+    for k in range(1, (n - d - 1) // 2 + 1):  # k <= ceil((n - d)/2 - 1)
         m = n - 2 * k
-        term = (
-            _comb_or_zero(m, m - d)
-            * _comb_or_zero(m, m)
-            * math.comb(n, 2 * k)
-            * 16**k
-        )
-        total += term
+        total += math.comb(m, (m - d) // 2) * math.comb(m, m // 2) * math.comb(n, 2 * k) * 16**k
     return total

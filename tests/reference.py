@@ -42,7 +42,11 @@ Helpers that `lrcone` once shipped and only tests reached:
   `walk_count_column`, one such column built in one go: the oracle of
   `grow_walk_counts`' recurrence;
 * `gross_upper_bound`, the crude exponential that dominates every count and
-  that the tail is derived from.
+  that the tail is derived from;
+* `literal_closed_form`, the paper's binomial sum term by term with
+  `_comb_or_zero` reading each out-of-range or half-integer binomial as
+  zero: the oracle of `count_walks_closed_form`, which skips the rows that
+  parity makes zero.
 
 Everything here imports `lrcone`, and horizon_radius_quadrature numpy, only
 when called, so loading this module for `exact_bound_series` stays cheap.
@@ -237,6 +241,8 @@ def scalar_evaluate_bound(t, d, couplings, *, source=None, rel_tol=1e-10):
     Bit for bit: one log-term, one math.exp and one math.fsum of the growing
     term list per walk length from n = 0, and a tail certificate at every n
     past the streak; `evaluate_bound` skips the zero terms below 2 d instead.
+    Where this loop returns value 0.0 at t > 0, no bound on the positive B,
+    `evaluate_bound` refuses.
     log_slope is the running sum of n term_n over that of term_n, 0.0 where
     every term is 0, and math.fsum of n (term_n / partial) where either sum
     passes 1e300.
@@ -440,3 +446,31 @@ def gross_upper_bound(n: int, d: int, kappa: float) -> float:
     if log_value > 700.0:
         return math.inf
     return math.exp(log_value)
+
+
+def _comb_or_zero(m: int, doubled_lower: int) -> int:
+    """C(m, doubled_lower / 2), zero for half-integer or out-of-range lower index."""
+    if doubled_lower % 2:
+        return 0
+    k = doubled_lower // 2
+    if m < 0 or k < 0 or k > m:
+        return 0
+    return math.comb(m, k)
+
+
+def literal_closed_form(n: int, d: int) -> int:
+    """The paper's binomial sum for the canonical pair count, term by term.
+
+    sum over k = 1 .. ceil((n - d)/2 - 1) of
+        C(n-2k, (n-2k-d)/2) * C(n-2k, (n-2k)/2) * C(n, 2k) * 4^(2k)
+
+    with every binomial whose lower index is half-integer or out of range read
+    as zero, and an empty summation range read as zero.
+    """
+    if n < 0 or d < 0:
+        raise ValueError(f"n and d must be >= 0, got n = {n}, d = {d}")
+    total = 0
+    for k in range(1, (n - d - 1) // 2 + 1):  # ceil((n - d)/2 - 1) for integers
+        m = n - 2 * k
+        total += _comb_or_zero(m, m - d) * _comb_or_zero(m, m) * math.comb(n, 2 * k) * 16**k
+    return total

@@ -66,7 +66,7 @@ def test_count_reports_mismatch_and_exits_2(tmp_path, capsys):
     mismatches = sum(1 for v in table.values() if not v[2])
     assert mismatches == sum(1 for v in table.values() if v[0] != v[1]) > 0
     assert capsys.readouterr().err == (
-        f"closed form disagrees with the dynamic program on {mismatches} of 27 entries; "
+        f"closed form disagrees with the exact count on {mismatches} of 27 entries; "
         f"see the match_flag 0 rows of {out}\n"
     )
 

@@ -44,7 +44,7 @@ runs = [
 for k, argv in enumerate(runs):
     code = cli.main([*argv, '--output', os.path.join(out, f'run{k}')])
     assert code == cli.EXIT_OK, (argv, code)
-# The paper's formula disagrees with the dynamic program at this size.
+# The paper's formula disagrees with the exact count at this size.
 code = cli.main(['count', '--nmax', '12', '--output', os.path.join(out, 'count')])
 assert code == cli.EXIT_MISMATCH, code
 assert not heavy(), heavy()
@@ -85,7 +85,7 @@ for k, (argv, expected_code, engine) in enumerate(runs):
 """
 
 # Each run: (argv, exit code, lrcone modules the command adds to the front end).
-# count exits 2 at this size: the paper's formula disagrees with the dynamic program.
+# count exits 2 at this size: the paper's formula disagrees with the exact count.
 COMMAND_RUNS = {
     "horizon and scan-dim": [
         (["horizon", "--steps", "5"], 0, []),

@@ -230,14 +230,34 @@ def test_best_tail_bound_equals_reference_restatement(n, d, t, couplings):
     t=st.floats(min_value=0.0, max_value=80.0),
     kappa=st.floats(min_value=TAIL_KAPPA, max_value=2.0),
 )
+@example(d=3, extra=-5, t=4.477499713621812e-146, kappa=1.3112152672316344)  # log tail -666
 @settings(max_examples=300, deadline=None)
 def test_best_tail_bound_is_minimum_over_kappa(d, extra, t, kappa):
     # Once N >= 2 d - 5 the tail rises with kappa, so no kappa in
-    # [TAIL_KAPPA, 2] certifies less.  The slack covers the rounding of two
-    # separately computed exponentials where the rise is below one ulp.
+    # [TAIL_KAPPA, 2] certifies less.  Where the rise is below one ulp the
+    # two tails differ by their rounding: the relative error of exp(log tail)
+    # is the absolute error of log tail, a few ulps of its largest summand
+    # (2 ulps seen in 10^6 draws), and a subnormal tail rounds to a multiple
+    # of the smallest float.
     n = max(0, 2 * d + extra)
     best = best_tail_bound(n, t, d, HALF)
-    assert best <= tail_bound(n, t, d, HALF, kappa) * (1.0 + 1e-13)
+    largest = max(_largest_log_tail_summand(n, t, d, k) for k in (TAIL_KAPPA, kappa))
+    slack = 4 * math.ulp(largest)
+    assert best <= tail_bound(n, t, d, HALF, kappa) * (1.0 + slack) + math.ulp(0.0)
+
+
+def _largest_log_tail_summand(n, t, d, kappa):
+    """The largest magnitude of the summands of log tail(n) at kappa, g = J = 1/2."""
+    x = HALF.step_factor * t * math.sqrt(8.0 * HALF.g * HALF.J) * math.exp(kappa)
+    if not 0.0 < x < n + 2:
+        return 0.0  # a tail of 0.0 or inf, with no rounding
+    return max(
+        abs(math.log(2.0 * HALF.prefactor)),
+        abs(kappa * (4.0 - 2.0 * d)),
+        abs((n + 1) * math.log(x)),
+        math.lgamma(n + 2),
+        abs(math.log1p(-x / (n + 2))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +307,28 @@ def test_evaluate_bound_refuses_a_time_whose_step_underflows(t, step_factor, d):
         evaluate_bound(t, d, couplings, source=DpCountSource(n_max=8))
 
 
-def test_zero_time_limits(shared_source):
-    at_origin = evaluate_bound(0.0, 0, HALF, source=shared_source)
-    assert at_origin.value == HALF.prefactor
-    for d in (1, 2, 7):
-        assert evaluate_bound(0.0, d, HALF, source=shared_source).value == 0.0
+def test_zero_time_limits():
+    # B(0, d) = 2 |P| |Q| [d = 0], with the term-by-term loop's n_truncate and
+    # a tail of 0.0, up to the largest d the default budget admits.
+    for couplings in (HALF, Couplings(g=2.0, J=0.125, origin_norm=1e150, probe_norm=1e100)):
+        source, scalar_source = DpCountSource(), DpCountSource()
+        for d in range(4097):
+            result = evaluate_bound(0.0, d, couplings, source=source)
+            exact = (couplings.prefactor, 5, 0.0, 0.0) if d == 0 else (0.0, 4, 0.0, 0.0)
+            assert result == (0.0, d, *exact)
+            if d % 256 == 0:
+                assert result == scalar_evaluate_bound(0.0, d, couplings, source=scalar_source)
+        with pytest.raises(ConvergenceError, match="before n = 0"):
+            evaluate_bound(0.0, 4097, couplings, source=source)
+
+
+@pytest.mark.parametrize("t,d", [(1e-5, 40), (1e-300, 3), (1 / 64, 51)])
+def test_positive_bound_below_float_range_is_refused(t, d):
+    # B(t, d) > 0 for t > 0, but here it rounds to 0.0: refused, where the
+    # term-by-term loop from n = 0 returns 0.0, no upper bound on B.
+    with pytest.raises(ConvergenceError, match=r"below the float range .* at n = \d+"):
+        evaluate_bound(t, d, HALF)
+    assert scalar_evaluate_bound(t, d, HALF).value == 0.0
 
 
 def test_bound_monotone_in_time(shared_source):
@@ -499,11 +536,22 @@ def test_certified_tail_dominates_exact_remainder(t_64ths, d):
 )
 @settings(max_examples=60, deadline=None)
 def test_bound_monotone_in_time_property(t1, t2, d):
-    lo, hi = sorted((t1, t2))
-    assert (
-        evaluate_bound(lo, d, HALF, source=_HYPOTHESIS_SOURCE).value
-        <= evaluate_bound(hi, d, HALF, source=_HYPOTHESIS_SOURCE).value
-    )
+    lo, hi = (_value_or_refused(t, d) for t in sorted((t1, t2)))
+    if hi is None:
+        # B below the float range at the later time: so it is at the earlier
+        # one, refused there too, or exactly 0.0 at t = 0.
+        assert lo is None or lo == 0.0
+    elif lo is not None:
+        assert lo <= hi
+
+
+def _value_or_refused(t, d):
+    """B(t, d) at g = J = 1/2, or None where it is refused below the float range."""
+    try:
+        return evaluate_bound(t, d, HALF, source=_HYPOTHESIS_SOURCE).value
+    except ConvergenceError as exc:
+        assert "below the float range" in str(exc)
+        return None
 
 
 @given(
@@ -545,9 +593,6 @@ def test_log_slope_matches_exact_series(t, d, couplings):
         result = evaluate_bound(t, d, couplings, source=_SLOPE_SOURCE)
     except ConvergenceError:
         return
-    if result.value == 0.0:  # every term is 0 (both prefactors exceed 1)
-        assert result.log_slope == 0.0
-        return
     exact = exact_log_slope(t, d, couplings, _SLOPE_SOURCE.count, result.n_truncate)
     if result.value / couplings.prefactor >= sys.float_info.min:
         assert abs(Fraction(result.log_slope) / exact - 1) <= Fraction(1, 10**12)
@@ -559,12 +604,15 @@ def test_log_slope_matches_exact_series(t, d, couplings):
 
 def test_log_slope_where_every_term_is_zero(shared_source):
     # Where B = 0, log B has no slope and log_slope reads 0.0: at t = 0 with
-    # d > 0, and where every term underflows.  At t = 0, d = 0, B is the
-    # constant prefactor, whose slope is 0.0 too.
-    for t, d in ((0.0, 0), (0.0, 1), (0.0, 7), (1e-300, 0), (1e-300, 3)):
+    # d > 0.  At t = 0, d = 0, B is the constant prefactor, whose slope is
+    # 0.0 too, and so is the slope of 1 + O(t^2) at t = 1e-300.  Where every
+    # term underflows, B > 0 is refused, not read as 0.
+    for t, d in ((0.0, 0), (0.0, 1), (0.0, 7), (1e-300, 0)):
         result = evaluate_bound(t, d, HALF, source=shared_source)
         assert result.log_slope == 0.0
         assert (result.value == 0.0) == (d > 0)
+    with pytest.raises(ConvergenceError, match="below the float range"):
+        evaluate_bound(1e-300, 3, HALF, source=shared_source)
 
 
 def test_log_slope_takes_the_expected_branches():
@@ -594,6 +642,11 @@ def _outcome(evaluate, t, d, couplings, source, rel_tol):
 def _assert_matches_scalar_loop(t, d, couplings, rel_tol, source, scalar_source):
     result = _outcome(evaluate_bound, t, d, couplings, source, rel_tol)
     scalar = _outcome(scalar_evaluate_bound, t, d, couplings, scalar_source, rel_tol)
+    if t > 0.0 and isinstance(scalar, BoundSeriesResult) and scalar.value == 0.0:
+        # The loop's 0.0 is no bound on B > 0: refused instead.
+        assert result[0] is ConvergenceError, (t, d, couplings, rel_tol)
+        assert "below the float range" in result[1]
+        return
     # Field for field (value, n_truncate, tail), or the same exception.
     assert result == scalar, (t, d, couplings, rel_tol)
     if isinstance(result, BoundSeriesResult):
@@ -615,8 +668,8 @@ def _assert_matches_scalar_loop(t, d, couplings, rel_tol, source, scalar_source)
         # rel_tol * partial sum below the normal range: the streak test is
         # decided by math.fsum, not by the running sum.
         (1 / 64, 42, 1e-12),
-        # The geodesic term underflows to 0.0: the zeros below 2 d still
-        # count into the streak (n_truncate 104 at g = J = 1/2).
+        # The geodesic term underflows to 0.0: B > 0 is refused below the
+        # float range, where the loop from n = 0 returns 0.0.
         (1 / 64, 51, 1e-10),
         # The geodesic 2 d is past hard_n_limit: refused "before n = 0",
         # before any column grows.

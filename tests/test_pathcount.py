@@ -11,7 +11,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrcone import cli
@@ -27,7 +27,12 @@ from lrcone.pathcount import (
     perpendicular_target,
 )
 
-from reference import extend_walk_counts, gross_upper_bound, walk_count_column
+from reference import (
+    extend_walk_counts,
+    gross_upper_bound,
+    literal_closed_form,
+    walk_count_column,
+)
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +353,36 @@ def test_closed_form_empty_sum_and_validation():
         count_walks_closed_form(-1, 0)
     with pytest.raises(ValueError):
         count_walks_closed_form(4, -2)
+
+
+def test_closed_form_equals_literal_oracle():
+    # The program skips the rows that parity makes zero and reads no
+    # binomial as zero; the term-by-term sum must agree on every row.
+    mismatches = [
+        (n, d)
+        for n in range(201)
+        for d in range(41)
+        if count_walks_closed_form(n, d) != literal_closed_form(n, d)
+    ]
+    assert mismatches == []
+
+
+@given(n=st.integers(0, 512), d=st.integers(0, 128))
+@example(n=512, d=0)
+@example(n=512, d=2)
+@settings(max_examples=60, deadline=None)
+def test_closed_form_equals_literal_oracle_up_to_count_limit(n, d):
+    assert count_walks_closed_form(n, d) == literal_closed_form(n, d)
+
+
+@given(n=st.integers(0, 512), d=st.integers(0, 512))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_is_zero_at_odd_n_or_odd_d(n, d):
+    # m = n - 2k has the parity of n, so a lower index m / 2 or (m - d) / 2
+    # is half-integer in every term.
+    for odd_n, odd_d in ((2 * (n // 2) + 1, d), (n, 2 * (d // 2) + 1)):
+        assert count_walks_closed_form(odd_n, odd_d) == 0
+        assert literal_closed_form(odd_n, odd_d) == 0
 
 
 def test_count_table_flags_divergence(tmp_path):

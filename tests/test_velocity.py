@@ -233,11 +233,19 @@ def test_arrival_time_expands_a_short_bracket_as_bisection_does(monkeypatch, eva
 
 
 def test_arrival_time_refuses_a_bracket_that_never_reaches_epsilon(monkeypatch):
-    monkeypatch.setattr("lrcone.velocity.geodesic_bracket_time", lambda *a: 1e-300)
+    # B(1e-30, 3) is about 1e-184, and 80 expansions by 1.5 leave it far below
+    # epsilon; at 1e-300 B is below the float range, and its first
+    # evaluation is refused.
+    monkeypatch.setattr("lrcone.velocity.geodesic_bracket_time", lambda *a: 1e-30)
     ev = BoundEvaluator(HALF)
     with pytest.raises(ThresholdUnreachableError, match=r"no time with B\(t, 3\) >= 1e-08"):
         arrival_time(3, 1e-8, ev)
     assert ev.evaluations == 1 + MAX_EXPANSIONS
+    monkeypatch.setattr("lrcone.velocity.geodesic_bracket_time", lambda *a: 1e-300)
+    ev = BoundEvaluator(HALF)
+    with pytest.raises(ConvergenceError, match="below the float range"):
+        arrival_time(3, 1e-8, ev)
+    assert ev.evaluations == 1
 
 
 def test_arrival_time_counts_every_evaluation():
